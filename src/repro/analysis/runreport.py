@@ -45,7 +45,7 @@ class RunReport:
     final_pin_delays: List[float] = field(default_factory=list)
     iterations: List[IterationStats] = field(default_factory=list)
     clock: WallClock = field(default_factory=WallClock)
-    # Phase totals measured *inside* process-pool workers (Jacobi mode).
+    # Phase totals measured *inside* fabric worker processes (Jacobi mode).
     # Kept separate from ``clock``: the worker seconds overlap the parent's
     # ``solve`` wall time, so folding them in would double-count runtime.
     worker_clock: WallClock = field(default_factory=WallClock)
@@ -76,7 +76,7 @@ class RunReport:
         lines = ["phases:"]
         lines.extend("  " + l for l in self.clock.report().splitlines())
         if self.worker_clock.totals:
-            lines.append("worker phases (inside process pool):")
+            lines.append("worker phases (inside worker processes):")
             lines.extend("  " + l for l in self.worker_clock.report().splitlines())
         counters = self.metrics.get("counters", {})
         if counters:

@@ -49,9 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batchsolve.xp import get_namespace
-
-# Hot-loop fast paths (numpy only): the public ``np.linalg.eigh`` and
+# Hot-loop fast paths: the public ``np.linalg.eigh`` and
 # ``np.clip`` spend most of their per-call time in Python-level argument
 # handling, which dominates at the small matrix orders CPLA produces.
 # Both resolve to the very gufunc/ufunc the public wrappers dispatch to,
@@ -234,7 +232,6 @@ def run_admm(
     if not members:
         return [], BatchStats(0, 0, 0, 0, 0.0, 0.0)
     cfg = options or AdmmOptions()
-    xp = get_namespace()
     first = members[0]
     for member in members[1:]:
         if member.bucket_key != first.bucket_key:
@@ -250,14 +247,14 @@ def run_admm(
     rows, cols, off, svec_scale = triu_cache(n)
 
     solve_start = time.perf_counter()
-    X = xp.stack([m.x0 for m in members])
-    C_hat = xp.stack([m.c_hat for m in members])
-    C = xp.stack([m.c for m in members]) if recording else None
-    rho = xp.full(batch, cfg.rho, dtype=np.float64)
+    X = np.stack([m.x0 for m in members])
+    C_hat = np.stack([m.c_hat for m in members])
+    C = np.stack([m.c for m in members]) if recording else None
+    rho = np.full(batch, cfg.rho, dtype=np.float64)
     # All projection-set state lives in two (m_sets, B, d) tensors so the
     # elementwise updates below are one ufunc call across every set.
-    Z_st = xp.stack([X] * m_sets)
-    U_st = xp.zeros((m_sets, batch, d), dtype=np.float64)
+    Z_st = np.stack([X] * m_sets)
+    U_st = np.zeros((m_sets, batch, d), dtype=np.float64)
     if has_affine:
         # Constraint counts vary within a bucket; the affine projection
         # runs per constraint-count subgroup: (row indices into the
@@ -269,17 +266,17 @@ def run_admm(
         for row, member in enumerate(members):
             by_m.setdefault(member.num_constraints, []).append(row)
         for rows_m in by_m.values():
-            A_st = xp.stack([members[r].A for r in rows_m])
+            A_st = np.stack([members[r].A for r in rows_m])
             affine_groups.append([
                 np.asarray(rows_m, dtype=np.intp),
                 A_st,
-                xp.ascontiguousarray(xp.swapaxes(A_st, 1, 2)),
-                xp.stack([members[r].inv_gram for r in rows_m]),
-                xp.stack([members[r].b for r in rows_m])[:, :, None],
+                np.ascontiguousarray(np.swapaxes(A_st, 1, 2)),
+                np.stack([members[r].inv_gram for r in rows_m]),
+                np.stack([members[r].b for r in rows_m])[:, :, None],
             ])
     if has_box:
-        lower_st = xp.stack([m.lower for m in members])
-        upper_st = xp.stack([m.upper for m in members])
+        lower_st = np.stack([m.lower for m in members])
+        upper_st = np.stack([m.upper for m in members])
 
     # ``active[row]`` is the original member index living in stack row
     # ``row``; compaction gathers it alongside the state tensors.
@@ -307,7 +304,7 @@ def run_admm(
     rho_hi = cfg.rho * cfg.rho_scale_limit
     rho_lo = cfg.rho / cfg.rho_scale_limit
 
-    if xp is np and _EIGH_LO is not None:
+    if _EIGH_LO is not None:
         def eigh(M):
             # Non-convergence of the underlying dsyevd surfaces as the
             # default invalid-value RuntimeWarning (NaN output) instead of
@@ -315,11 +312,11 @@ def run_admm(
             # argument validation the kernel has already guaranteed.
             return _EIGH_LO(M, signature="d->dd")
     else:
-        eigh = xp.linalg.eigh
-    clip = _CLIP if (xp is np and _CLIP is not None) else xp.clip
+        eigh = np.linalg.eigh
+    clip = _CLIP if _CLIP is not None else np.clip
 
     def row_norms(Y):
-        return xp.sqrt(xp.einsum("bd,bd->b", Y, Y))
+        return np.sqrt(np.einsum("bd,bd->b", Y, Y))
 
     def project_psd(V, out):
         """Stacked Frobenius projection onto the PSD cone, in svec coords."""
@@ -335,8 +332,8 @@ def run_admm(
         ident_counts += ~neg
         np.copyto(out, V)
         if neg.any():
-            w_neg = xp.maximum(w[neg], 0.0)
-            R = (Q[neg] * w_neg[:, None, :]) @ xp.swapaxes(Q[neg], 1, 2)
+            w_neg = np.maximum(w[neg], 0.0)
+            R = (Q[neg] * w_neg[:, None, :]) @ np.swapaxes(Q[neg], 1, 2)
             out[neg] = R[:, rows, cols] * svec_scale
 
     def project_affine(V, out):
@@ -392,12 +389,12 @@ def run_admm(
 
         if iterations % cfg.check_every == 0 or iterations == cfg.max_iterations:
             DXZ = np.subtract(X, Z_st, out=diff_buf[:, :B])
-            sq = xp.einsum("sbd,sbd->sb", DXZ, DXZ)
+            sq = np.einsum("sbd,sbd->sb", DXZ, DXZ)
             # sqrt-then-max over sets matches the per-set row_norms fold.
-            primal = np.maximum.reduce(xp.sqrt(sq), axis=0)
+            primal = np.maximum.reduce(np.sqrt(sq), axis=0)
             dual = (rho * math.sqrt(m_sets)) * row_norms(X - X_prev)
             if recording:
-                objective = xp.einsum("bd,bd->b", C, X)
+                objective = np.einsum("bd,bd->b", C, X)
                 for row, orig in enumerate(active):
                     samples[orig].append({
                         "iteration": iterations,
@@ -406,7 +403,7 @@ def run_admm(
                         "dual": float(dual[row]),
                         "rho": float(rho[row]),
                     })
-            scale = xp.maximum(1.0, row_norms(X))
+            scale = np.maximum(1.0, row_norms(X))
             tol = cfg.tolerance * scale
             done = (primal <= tol) & (dual <= tol)
             at_cap = iterations == cfg.max_iterations

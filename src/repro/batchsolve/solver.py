@@ -43,6 +43,10 @@ from repro.utils import get_logger
 
 log = get_logger(__name__)
 
+# One solved leaf: (x_values, info, seconds, worker telemetry — always None
+# in-process).
+LeafResult = Tuple[List[np.ndarray], SdpSolveInfo, float, None]
+
 
 class _Pending:
     """One non-empty problem prepared for its bucket."""
@@ -61,9 +65,9 @@ class _Pending:
 class BatchLeafSolver:
     """Vectorized in-process leaf solver (engine backend ``batch``).
 
-    Satisfies the close() lifecycle of the engine's pool slot and exposes
-    :meth:`stats_snapshot` for the run report's scheduler channel, like
-    the dist fabric does.
+    Implements the engine's leaf backend contract (``solve_many`` and
+    ``close``) and exposes :meth:`stats_snapshot` for the run report's
+    scheduler channel, like the dist fabric does.
     """
 
     def __init__(
@@ -91,7 +95,7 @@ class BatchLeafSolver:
             "frozen_fraction": 0.0,   # member-iterations saved by freezing
         }
 
-    # -- lifecycle (pool-slot contract) -----------------------------------
+    # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
         """Nothing to release — the backend is in-process."""
@@ -104,28 +108,26 @@ class BatchLeafSolver:
 
     def solve_many(
         self, problems: Sequence[PartitionProblem], leaf_mask=None
-    ) -> List[Tuple[List[np.ndarray], SdpSolveInfo, float]]:
-        """Solve every problem; returns (x_values, info, seconds) per input.
+    ) -> List[Optional[LeafResult]]:
+        """Solve ``problems`` (those ``leaf_mask`` indexes, if given).
 
-        Results are in input order.  ``seconds`` is the member's
-        iteration-weighted share of its bucket's wall clock (the
-        engine feeds it to the same leaf-latency histogram the other
-        backends fill).  ``leaf_mask`` (indices into ``problems``)
-        restricts the solve to a sparse leaf subset: masked-out positions
-        stay ``None`` in the output (the ECO path leaves clean leaves as
-        unextracted placeholders).
+        Returns one ``(x_values, info, seconds, None)`` per solved problem
+        in input order; masked-out positions are ``None`` (the ECO path
+        leaves clean leaves as unextracted placeholders).  ``seconds`` is
+        the member's iteration-weighted share of its bucket's wall clock
+        (the engine feeds it to the same leaf-latency histogram the other
+        backends fill).
         """
         solver = self._solver
         admm = solver.admm
-        masked = set(leaf_mask) if leaf_mask is not None else None
-        outputs: List[Optional[Tuple[List[np.ndarray], SdpSolveInfo, float]]]
-        outputs = [None] * len(problems)
+        outputs: List[Optional[LeafResult]] = [None] * len(problems)
         pending: List[Tuple[int, _Pending]] = []
-        for index, problem in enumerate(problems):
-            if masked is not None and index not in masked:
-                continue
+        for index in range(len(problems)) if leaf_mask is None else leaf_mask:
+            problem = problems[index]
             if problem.num_vars == 0:
-                outputs[index] = ([], SdpSolveInfo(0, 0, 0, True, 0.0, "empty"), 0.0)
+                outputs[index] = (
+                    [], SdpSolveInfo(0, 0, 0, True, 0.0, "empty"), 0.0, None
+                )
                 continue
             sdp, offsets, mode = solver.build_sdp(problem)
             signature = solver.warm_key(problem)
@@ -136,7 +138,7 @@ class BatchLeafSolver:
             )
 
         if not pending:
-            return outputs  # type: ignore[return-value]
+            return outputs
 
         chunks = bucket_members(
             [(index, item.member) for index, item in pending],
@@ -174,12 +176,12 @@ class BatchLeafSolver:
                     projection_seconds=stats.projection_seconds * share,
                     recording=recording,
                 )
-        return outputs  # type: ignore[return-value]
+        return outputs
 
     def _finish(
         self, item: _Pending, member_result, solve_seconds: float,
         projection_seconds: float, recording: bool,
-    ) -> Tuple[List[np.ndarray], SdpSolveInfo, float]:
+    ) -> LeafResult:
         solver = self._solver
         result = solver.admm.finish(item.sdp, member_result)
         solver.store_warm(item.signature, result.X, item.member.warm)
@@ -200,7 +202,7 @@ class BatchLeafSolver:
                 solve_seconds=solve_seconds,
                 projection_seconds=projection_seconds,
             ))
-        return x_values, info, solve_seconds
+        return x_values, info, solve_seconds, None
 
     def _note_bucket(self, order, max_constraints, stats, recording: bool) -> None:
         s = self.stats

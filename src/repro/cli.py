@@ -49,6 +49,7 @@ from repro.analysis.histogram import delay_histogram, render_histogram
 from repro.analysis.metrics import MethodMetrics, ratio_row
 from repro.analysis.report import Table, density_map_text
 from repro.experiments import run_table2
+from repro.ispd.request import EXEC_BACKENDS
 from repro.ispd.suite import SUITE, spec_for
 from repro.ispd.synthetic import generate
 from repro.ispd.writer import write_ispd08
@@ -116,17 +117,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--workers", type=int, default=0,
-        help="solve partition leaves in a process pool; only the sdp/ilp "
-             "methods parallelize — ignored (with a warning) for tila/tila+flow",
+        help="solve partition leaves in this many worker processes (with "
+             "--exec pool/dist, from 2 up); only the sdp/ilp methods "
+             "parallelize — ignored (with a warning) for tila/tila+flow",
     )
     p_run.add_argument(
         "--exec", dest="exec_backend", default="pool",
-        choices=["pool", "dist", "batch", "seq"],
-        help="leaf-solve execution backend: 'pool' (static process pool), "
-             "'dist' (fault-tolerant work-stealing fabric), 'batch' "
-             "(in-process vectorized ADMM over shape-bucketed stacks; sdp "
-             "method only), or 'seq' (single-threaded reference); all four "
-             "produce bit-identical assignments at any --workers",
+        choices=EXEC_BACKENDS,
+        help="leaf-solve execution backend: 'pool' or 'dist' (the "
+             "fault-tolerant work-stealing worker fabric; with --workers "
+             "<= 1 both solve leaf by leaf in-process, Gauss-Seidel), "
+             "'batch' (in-process vectorized ADMM over shape-bucketed "
+             "stacks; sdp method only), or 'seq' (single-threaded "
+             "reference); seq, batch, and pool/dist with --workers >= 2 "
+             "produce bit-identical assignments",
     )
     p_run.add_argument(
         "--dist-listen", default=None, metavar="HOST:PORT",
@@ -257,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bsv.add_argument("--workers", type=int, default=0)
     p_bsv.add_argument(
         "--exec", dest="exec_backend", default="pool",
-        choices=["pool", "dist", "batch", "seq"],
+        choices=EXEC_BACKENDS,
         help="execution backend requested from the server (and used by "
              "--verify's local run)",
     )
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clo.add_argument("--workers", type=int, default=0)
     p_clo.add_argument(
         "--exec", dest="exec_backend", default="seq",
-        choices=["pool", "dist", "batch", "seq"],
+        choices=EXEC_BACKENDS,
         help="leaf-solve backend of the baseline and every ECO round",
     )
     p_clo.add_argument(
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--workers", type=int, default=0)
     p_swp.add_argument(
         "--exec", dest="exec_backend", default="seq",
-        choices=["pool", "dist", "batch", "seq"],
+        choices=EXEC_BACKENDS,
     )
     p_swp.add_argument(
         "--partition-sizes", default="10", metavar="N[,N...]",
@@ -626,34 +630,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
         elif args.exec_backend == "dist":
-            if args.workers < 1:
+            if args.workers <= 1:
                 print(
                     "warning: --exec dist parallelizes nothing without "
-                    "--workers >= 1; running sequentially",
+                    "--workers >= 2; solving leaf by leaf in-process",
                     file=sys.stderr,
                 )
-            if args.dist_listen:
-                address = _parse_hostport(args.dist_listen)
-                if address is None:
-                    print(
-                        f"--dist-listen must look like HOST:PORT, got "
-                        f"{args.dist_listen!r}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_USAGE
-                authkey = os.environ.get("REPRO_DIST_AUTHKEY", "")
-                if not authkey:
-                    print(
-                        "--dist-listen requires the REPRO_DIST_AUTHKEY env "
-                        "var (shared secret remote workers authenticate with)",
-                        file=sys.stderr,
-                    )
-                    return EXIT_USAGE
+            address, authkey, code = _dist_listen_args(args, "run")
+            if code is not None:
+                return code
+            if address is not None:
                 from repro.dist.fabric import DistFabricConfig
 
-                dist_config = DistFabricConfig(
-                    listen=address, authkey=authkey.encode("utf-8")
-                )
+                dist_config = DistFabricConfig(listen=address, authkey=authkey)
         elif args.dist_listen:
             print(
                 "warning: --dist-listen only applies with --exec dist; ignored",

@@ -14,23 +14,23 @@ One engine iteration:
    result if it improved, otherwise roll back and stop — the paper's
    "stops when no further optimizations can be achieved".
 
-Sequential solving updates boundary layers leaf by leaf (Gauss–Seidel, the
-behaviour ref. [12] of the paper motivates); with ``workers > 1`` leaves are
-solved from a common snapshot in a process pool (Jacobi), mirroring the
-paper's OpenMP parallelism.
+Leaves are solved through one backend contract, ``solve_many(problems,
+leaf_mask)``, implemented in-process (:class:`InlineLeafSolver`), by the
+batched kernels (:class:`BatchLeafSolver`) and by the worker fabric
+(:class:`DistFabric`, the paper's OpenMP parallelism).  The default
+schedule updates boundary layers leaf by leaf (Gauss–Seidel, the behaviour
+ref. [12] of the paper motivates); every other configuration solves all
+leaves from a common snapshot (Jacobi).
 """
 
 from __future__ import annotations
 
-import atexit
-import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.runreport import IterationStats, RunReport
 from repro.batchsolve.solver import BatchLeafSolver
-from repro.dist.fabric import DistFabric, DistFabricConfig, task_cost
+from repro.dist.fabric import DistFabric, DistFabricConfig, InlineLeafSolver
 from repro.obs import collect, convergence, metrics, tracer
 from repro.core.ilp import IlpConfig, IlpPartitionSolver
 from repro.core.mapping import CapacityLedger, post_map
@@ -54,208 +54,6 @@ _REL_TOL = 1e-9
 
 # Per-leaf solve latency buckets (seconds) — leaves are small problems.
 _LEAF_BUCKETS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 5.0)
-
-
-def _solve_leaf_task(solver, capture_telemetry, problem, warm=None, trace=None):
-    """One leaf solve with its telemetry in the payload.
-
-    The worker's wall-clock phases are always measured and returned —
-    without this every second spent inside Jacobi-mode workers was
-    invisible to the parent report; spans/metrics/convergence records ride
-    along when their subsystems are enabled.  ``capture_telemetry`` is the
-    ``(tracing, metrics, convergence)`` flag tuple observed in the parent
-    at pool creation, so workers arm exactly what the parent collects.
-
-    ``warm`` is the parent-owned warm-start state for this partition (see
-    ``SdpPartitionSolver.import_warm``): it overwrites whatever the
-    worker-resident solver remembers, so the solve is a pure function of
-    ``(problem, warm)`` and the result cannot depend on which worker —
-    or which retry attempt — executes the task.  The post-solve state is
-    returned so the parent can advance its authoritative store.
-
-    ``trace`` is the parent's trace context wire dict, attached after the
-    observability reset so the worker's ``engine.leaf`` span parents under
-    the parent-process span that scheduled it.
-    """
-    if any(capture_telemetry):
-        collect.init_worker_observability(*capture_telemetry)
-    if trace is not None and tracer.is_enabled():
-        tracer.attach(tracer.TraceContext.from_dict(trace))
-    managed = hasattr(solver, "import_warm") and hasattr(solver, "export_warm")
-    if managed:
-        solver.import_warm(problem, warm)
-    clock = WallClock()
-    with clock.phase("solve"):
-        with tracer.span(
-            "engine.leaf", segments=problem.num_vars, worker=True
-        ):
-            result = solver.solve(problem)
-    telemetry = collect.capture_worker_telemetry(clock)
-    return result, telemetry, (solver.export_warm(problem) if managed else None)
-
-
-# Worker-process state installed once by the pool initializer, so each task
-# ships only its problem — not a fresh pickle of the whole solver.
-_POOL_SOLVER = None
-_POOL_CAPTURE = (False, False, False)
-
-
-def _pool_initializer(solver, capture_telemetry) -> None:
-    """Runs once in every worker of the persistent leaf-solve pool."""
-    global _POOL_SOLVER, _POOL_CAPTURE
-    _POOL_SOLVER = solver
-    _POOL_CAPTURE = capture_telemetry
-
-
-def _solve_pooled_leaf(payload):
-    """Pool-task entry point: solve one leaf with the worker-resident solver."""
-    problem, warm, trace = payload
-    return _solve_leaf_task(_POOL_SOLVER, _POOL_CAPTURE, problem, warm, trace)
-
-
-# Every live pool, so one atexit hook can reap executors that callers
-# forgot to close.  A leaked ProcessPoolExecutor otherwise blocks
-# interpreter shutdown in concurrent.futures' own exit handler — fatal for
-# a long-lived server process that constructs engines per request.
-_LIVE_POOLS: "weakref.WeakSet[LeafSolvePool]" = weakref.WeakSet()
-
-
-@atexit.register
-def _close_leaked_pools() -> None:  # pragma: no cover - exit-time guard
-    for pool in list(_LIVE_POOLS):
-        pool.close()
-
-
-class LeafSolvePool:
-    """Lifecycle manager of the persistent leaf-solve process pool.
-
-    The previous implementation built a fresh ``ProcessPoolExecutor`` for
-    every Jacobi pass and re-pickled the solver with every task.  This
-    manager creates the pool once (lazily, on the first parallel solve)
-    and ships the solver to each worker through the pool initializer.  The
-    authoritative SDP warm-start store lives on the *parent's* solver:
-    each task carries its partition's warm state and returns the updated
-    state, which keeps warm starting effective across engine iterations
-    and back-to-back engine runs while making every solve a pure function
-    of its task — scheduling cannot affect the assignment.  Pool
-    persistence is what lets a resident server skip process spawning per
-    request.
-
-    Any pool failure (creation, task pickling, a died worker) permanently
-    downgrades the pool: :meth:`map` returns ``None``, the caller solves
-    sequentially, and the failure is logged and counted in the
-    ``engine.pool_failures`` metric.
-
-    Pools are context managers, expose :meth:`close`, and are tracked in a
-    module-level registry with an ``atexit`` guard, so repeatedly
-    constructing engines in one process (as the job server does) cannot
-    leak executors even on sloppy teardown.
-    """
-
-    def __init__(self, workers: int, solver) -> None:
-        self.workers = workers
-        self._solver = solver
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._broken = False
-        _LIVE_POOLS.add(self)
-
-    def map(self, problems, leaf_mask=None) -> Optional[list]:
-        """Solve the leaf problems in the pool; ``None`` means "do it yourself".
-
-        ``leaf_mask`` (a list of indices into ``problems``) restricts the
-        solve to a sparse leaf subset without rebuilding the task list —
-        the ECO path extracts only its dirty leaves (the rest may be
-        ``None`` placeholders) and masked-out positions come back as
-        ``None`` in the result list.
-        """
-        if self._broken or not problems:
-            return None if self._broken else []
-        indices = list(range(len(problems))) if leaf_mask is None \
-            else list(leaf_mask)
-        if not indices:
-            return [None] * len(problems)
-        try:
-            if self._pool is None:
-                capture = (
-                    tracer.is_enabled(),
-                    metrics.is_enabled(),
-                    convergence.is_enabled(),
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_pool_initializer,
-                    initargs=(self._solver, capture),
-                )
-            # Largest-first with chunksize 1: the old static chunking
-            # (``chunksize=max(1, len // (workers * 4))``) dealt contiguous
-            # blocks, so with few leaves one worker could serialize several
-            # big ones while others idled.  Scheduling the costliest leaves
-            # first, one at a time, bounds the tail by a single leaf.
-            # Results are re-ordered back to input order.  Each task ships
-            # the parent solver's warm-start state for its partition, so a
-            # solve is a pure function of the task — the permutation (and
-            # which worker picks which task) cannot change any result.
-            managed = hasattr(self._solver, "export_warm") and hasattr(
-                self._solver, "import_warm"
-            )
-            order = sorted(
-                indices,
-                key=lambda i: (-task_cost(problems[i]), i),
-            )
-            ctx = tracer.current_context()
-            trace = ctx.to_dict() if ctx is not None else None
-            payloads = [
-                (
-                    problems[i],
-                    self._solver.export_warm(problems[i]) if managed else None,
-                    trace,
-                )
-                for i in order
-            ]
-            solved = list(
-                self._pool.map(_solve_pooled_leaf, payloads, chunksize=1)
-            )
-            results: list = [None] * len(problems)
-            for position, index in enumerate(order):
-                results[index] = solved[position]
-            # Advance the authoritative warm store in task order, then
-            # strip the warm state from what the engine consumes.
-            if managed:
-                for index in sorted(indices):
-                    _, _, new_warm = results[index]
-                    self._solver.import_warm(problems[index], new_warm)
-            return [
-                (entry[0], entry[1]) if entry is not None else None
-                for entry in results
-            ]
-        except Exception as exc:
-            log.warning(
-                "leaf-solve pool failed (%s: %s); continuing with sequential solves",
-                type(exc).__name__, exc,
-            )
-            metrics.inc("engine.pool_failures")
-            self._broken = True
-            self.shutdown()
-            return None
-
-    def shutdown(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=True, cancel_futures=True)
-            except Exception:  # pragma: no cover - best-effort teardown
-                log.debug("pool shutdown failed", exc_info=True)
-
-    # ``close`` is the lifecycle-idiomatic spelling; ``shutdown`` stays for
-    # existing callers.
-    def close(self) -> None:
-        self.shutdown()
-
-    def __enter__(self) -> "LeafSolvePool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _is_improvement(
@@ -314,17 +112,19 @@ class CPLAConfig:
     leaf_order: str = "spatial"  # or "criticality": hottest partitions first
     workers: int = 0
     # Execution backend of the leaf solves:
-    # - "pool": the persistent ProcessPoolExecutor (needs workers > 1);
-    # - "dist": the coordinator/worker solve fabric (dynamic largest-first
-    #   scheduling, work stealing, crash/timeout retry — see repro.dist);
+    # - "pool" / "dist": with workers > 1, the coordinator/worker solve
+    #   fabric (largest-first scheduling, work stealing, crash/timeout
+    #   retry — see repro.dist; "pool" is kept as a name for it); with
+    #   workers <= 1, the Gauss-Seidel schedule, one leaf at a time
+    #   in-process;
     # - "batch": in-process vectorized ADMM over shape-bucketed stacks
     #   (repro.batchsolve; sdp method only, --workers is meaningless);
     # - "seq": in-process one-at-a-time solves of the same common snapshot
     #   (the single-threaded reference of the family).
-    # All four are Jacobi solves from a common snapshot and produce
-    # bit-identical assignments at any worker count.  (Plain "pool" with
-    # workers <= 1 keeps the historical Gauss-Seidel sequential path,
-    # which legitimately differs — boundary layers update leaf by leaf.)
+    # seq, batch, and pool/dist with workers > 1 are Jacobi solves from a
+    # common snapshot and produce bit-identical assignments.  The
+    # Gauss-Seidel schedule legitimately differs — boundary layers update
+    # leaf by leaf.
     exec_backend: str = "pool"
     # Batched backend: cap on members stacked per kernel call (memory).
     batch_max_members: int = 64
@@ -384,9 +184,9 @@ class CPLAEngine:
                 )
             self._solver = IlpPartitionSolver(self.config.ilp, grid=self.grid)
         self._worker_clock = WallClock()
-        # Either a LeafSolvePool or a DistFabric — both satisfy the same
-        # map()/close() contract (config.exec_backend picks which).
-        self._pool = None
+        # The leaf backend (InlineLeafSolver, BatchLeafSolver or
+        # DistFabric), created on the first solve; see _leaf_backend.
+        self._backend = None
         self._iter_index = 0
         # Populated by ECO-restricted iterations (see eco_iterate): how many
         # leaves the dirtiness propagator actually re-solved.
@@ -397,12 +197,12 @@ class CPLAEngine:
     def run(self) -> CPLAReport:
         """One full optimization pass; safe to call repeatedly.
 
-        The engine is reusable: the leaf-solve pool and the solver's
-        warm-start caches survive between calls (that reuse is
-        deterministic — a warm rerun produces the bit-identical assignment
-        a fresh engine would, see tests/test_engine_reuse.py), so a
-        resident server can run back-to-back requests without paying pool
-        spawning or cold ADMM starts again.  Call :meth:`close` (or use
+        The engine is reusable: the leaf backend (with its workers) and
+        the solver's warm-start caches survive between calls (that reuse
+        is deterministic — a warm rerun produces the bit-identical
+        assignment a fresh engine would, see tests/test_engine_reuse.py),
+        so a resident server can run back-to-back requests without paying
+        worker spawning or cold ADMM starts again.  Call :meth:`close` (or use
         the engine as a context manager) when done with it.
         """
         with tracer.span(
@@ -413,20 +213,20 @@ class CPLAEngine:
             report.metrics = metrics.registry().as_dict()
         if convergence.is_enabled():
             report.convergence = convergence.snapshot()
-        # The dist fabric and the batched backend both publish scheduler
-        # counters; the plain process pool has none.
-        if self._pool is not None and hasattr(self._pool, "stats_snapshot"):
-            report.scheduler = self._pool.stats_snapshot()
+        # The dist fabric and the batched backend publish scheduler
+        # counters; the in-process loop has none.
+        if hasattr(self._backend, "stats_snapshot"):
+            report.scheduler = self._backend.stats_snapshot()
         router_stats = getattr(self.bench, "router_stats", None)
         if router_stats:
             report.router = dict(router_stats)
         return report
 
     def close(self) -> None:
-        """Release the leaf-solve pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Release the leaf backend and its workers (idempotent)."""
+        if self._backend is not None:
+            self._backend.close()
+            self._backend = None
 
     def __enter__(self) -> "CPLAEngine":
         return self
@@ -712,26 +512,9 @@ class CPLAEngine:
             metrics.inc("engine.eco_dirty_leaves", len(mask))
             metrics.inc("engine.eco_clean_leaves", len(leaves) - len(mask))
             self._pin_clean_leaves(leaves, mask, nets_by_id, ledger, reserved)
-        if cfg.exec_backend == "batch":
-            self._solve_batched(
-                leaves, nets_by_id, timings, weights, ledger, reserved, clock,
-                mask,
-            )
-        elif cfg.exec_backend == "seq":
-            self._solve_jacobi(
-                leaves, nets_by_id, timings, weights, ledger, reserved, clock,
-                mask,
-            )
-        elif cfg.workers and cfg.workers > 1:
-            self._solve_parallel(
-                leaves, nets_by_id, timings, weights, ledger, reserved, clock,
-                mask,
-            )
-        else:
-            self._solve_sequential(
-                leaves, nets_by_id, timings, weights, ledger, reserved, clock,
-                mask,
-            )
+        self._solve_leaves(
+            leaves, mask, nets_by_id, timings, weights, ledger, reserved, clock
+        )
 
         with clock.phase("commit"):
             for net in active:
@@ -823,167 +606,77 @@ class CPLAEngine:
                 if edges:
                     ledger.consume(edges, seg.layer)
 
-    def _solve_sequential(
-        self, leaves, nets_by_id, timings, weights, ledger, reserved, clock,
-        mask=None,
-    ) -> None:
-        masked = set(mask) if mask is not None else None
-        for leaf_index, (_, keys) in enumerate(leaves):
-            if masked is not None and leaf_index not in masked:
-                continue
-            with clock.phase("extract"):
-                problem = extract_partition_problem(
-                    self.grid, self.elmore, nets_by_id, timings, keys,
-                    self.config.via_penalty_weight, weights,
+    def _leaf_backend(self):
+        """The leaf backend ``exec_backend`` names, created once per engine."""
+        if self._backend is None:
+            cfg = self.config
+            if cfg.exec_backend == "batch":
+                self._backend = BatchLeafSolver(
+                    self._solver, cfg.batch_max_members
                 )
-            with clock.phase("solve") as timer:
-                with tracer.span("engine.leaf", segments=problem.num_vars):
-                    x_values, info = self._solver.solve(problem)
-            metrics.inc("engine.leaves")
-            metrics.observe("engine.leaf_solve_seconds", timer.elapsed, _LEAF_BUCKETS)
-            overflow = self._map_and_apply(
-                problem, x_values, ledger, reserved, nets_by_id, clock
-            )
-            if convergence.is_enabled():
-                self._record_partition(
-                    leaf_index, problem, info, timer.elapsed, overflow, timings
-                )
-
-    def _extract_leaves(self, leaves, nets_by_id, timings, weights, mask):
-        """Extract partition problems; ``None`` placeholders off-mask.
-
-        With no mask every leaf is extracted (the full-iteration path);
-        with a mask only dirty leaves pay extraction, keeping the list
-        index-aligned with ``leaves`` for the backends' ``leaf_mask``.
-        """
-        masked = set(mask) if mask is not None else None
-        return [
-            extract_partition_problem(
-                self.grid, self.elmore, nets_by_id, timings, keys,
-                self.config.via_penalty_weight, weights,
-            )
-            if masked is None or index in masked else None
-            for index, (_, keys) in enumerate(leaves)
-        ]
-
-    def _solve_parallel(
-        self, leaves, nets_by_id, timings, weights, ledger, reserved, clock,
-        mask=None,
-    ) -> None:
-        with clock.phase("extract"):
-            problems = self._extract_leaves(
-                leaves, nets_by_id, timings, weights, mask
-            )
-        if self._pool is None:
-            if self.config.exec_backend == "dist":
-                self._pool = DistFabric(
-                    self.config.workers, self._solver, self.config.dist
-                )
+            elif cfg.exec_backend in ("pool", "dist") and cfg.workers > 1:
+                self._backend = DistFabric(cfg.workers, self._solver, cfg.dist)
             else:
-                self._pool = LeafSolvePool(self.config.workers, self._solver)
+                self._backend = InlineLeafSolver(self._solver)
+        return self._backend
+
+    def _solve_leaves(
+        self, leaves, mask, nets_by_id, timings, weights, ledger, reserved,
+        clock,
+    ) -> None:
+        """Extract, solve and post-map the leaves ``mask`` selects (or all).
+
+        Every backend answers the same ``solve_many`` call; the schedule
+        only decides when leaves are extracted.  Jacobi (``seq``,
+        ``batch``, and ``pool``/``dist`` with ``workers > 1``) extracts
+        every leaf from the common snapshot and solves them in one call.
+        Gauss-Seidel (``pool``/``dist`` with ``workers <= 1``) extracts
+        each leaf after the previous one is mapped, so it sees its
+        neighbours' new boundary layers.
+        """
+        cfg = self.config
+        backend = self._leaf_backend()
+        selected = range(len(leaves)) if mask is None else mask
+        if cfg.exec_backend in ("pool", "dist") and cfg.workers <= 1:
+            rounds, leaf_mask = [[index] for index in selected], None
+        else:
+            rounds, leaf_mask = [range(len(leaves))], mask
+        wanted = set(selected)
         parent_ctx = tracer.current_context()
         parent_span = parent_ctx.span_id if parent_ctx is not None else None
         parent_trace = parent_ctx.trace_id if parent_ctx is not None else None
-        with clock.phase("solve"):
-            results = self._pool.map(problems, leaf_mask=mask)
-        if results is None:
-            # Pool failed (logged + counted by LeafSolvePool): solve the
-            # already-extracted problems inline from the same snapshot —
-            # identical Jacobi semantics, just without the parallelism.
-            self._solve_fallback(problems, nets_by_id, ledger, reserved, clock, timings)
-            return
-        for leaf_index, (problem, entry) in enumerate(zip(problems, results)):
-            if problem is None or entry is None:
-                continue
-            (x_values, info), telemetry = entry
-            metrics.inc("engine.leaves")
-            leaf_seconds = telemetry.phases.get("solve", 0.0)
-            metrics.observe("engine.leaf_solve_seconds", leaf_seconds, _LEAF_BUCKETS)
-            collect.merge_worker_telemetry(
-                telemetry, self._worker_clock, parent_span, parent_trace
-            )
-            overflow = self._map_and_apply(
-                problem, x_values, ledger, reserved, nets_by_id, clock
-            )
-            if convergence.is_enabled():
-                self._record_partition(
-                    leaf_index, problem, info, leaf_seconds, overflow, timings
+        for indices in rounds:
+            # Off-mask leaves stay ``None`` placeholders, index-aligned
+            # with ``leaf_mask``.
+            with clock.phase("extract"):
+                problems = [
+                    extract_partition_problem(
+                        self.grid, self.elmore, nets_by_id, timings,
+                        leaves[index][1], cfg.via_penalty_weight, weights,
+                    )
+                    if index in wanted else None
+                    for index in indices
+                ]
+            with clock.phase("solve"):
+                results = backend.solve_many(problems, leaf_mask)
+            for leaf_index, problem, result in zip(indices, problems, results):
+                if result is None:
+                    continue
+                x_values, info, seconds, telemetry = result
+                metrics.inc("engine.leaves")
+                metrics.observe(
+                    "engine.leaf_solve_seconds", seconds, _LEAF_BUCKETS
                 )
-
-    def _solve_batched(
-        self, leaves, nets_by_id, timings, weights, ledger, reserved, clock,
-        mask=None,
-    ) -> None:
-        """Vectorized in-process Jacobi solve (``exec_backend='batch'``).
-
-        Extracts every leaf from the common snapshot (same as the parallel
-        path) and hands the whole batch to the
-        :class:`~repro.batchsolve.solver.BatchLeafSolver`, which buckets
-        the SDPs by shape and runs one lockstep ADMM kernel per bucket.
-        Per-leaf ``solve_seconds`` is the member's iteration-weighted share
-        of its bucket's wall clock.
-        """
-        with clock.phase("extract"):
-            problems = self._extract_leaves(
-                leaves, nets_by_id, timings, weights, mask
-            )
-        if self._pool is None:
-            self._pool = BatchLeafSolver(
-                self._solver, self.config.batch_max_members
-            )
-        with clock.phase("solve"):
-            results = self._pool.solve_many(problems, leaf_mask=mask)
-        for leaf_index, (problem, entry) in enumerate(zip(problems, results)):
-            if problem is None or entry is None:
-                continue
-            x_values, info, leaf_seconds = entry
-            metrics.inc("engine.leaves")
-            metrics.observe("engine.leaf_solve_seconds", leaf_seconds, _LEAF_BUCKETS)
-            overflow = self._map_and_apply(
-                problem, x_values, ledger, reserved, nets_by_id, clock
-            )
-            if convergence.is_enabled():
-                self._record_partition(
-                    leaf_index, problem, info, leaf_seconds, overflow, timings
+                collect.merge_worker_telemetry(
+                    telemetry, self._worker_clock, parent_span, parent_trace
                 )
-
-    def _solve_jacobi(
-        self, leaves, nets_by_id, timings, weights, ledger, reserved, clock,
-        mask=None,
-    ) -> None:
-        """Single-threaded Jacobi reference solve (``exec_backend='seq'``).
-
-        Extracts every leaf from the common snapshot first, then solves
-        one at a time — the workers-free member of the pool/dist/batch
-        digest-identity family.  (Contrast with :meth:`_solve_sequential`,
-        the default Gauss-Seidel path, which interleaves extraction with
-        mapping so later leaves see earlier leaves' boundary updates.)
-        """
-        with clock.phase("extract"):
-            problems = self._extract_leaves(
-                leaves, nets_by_id, timings, weights, mask
-            )
-        self._solve_fallback(problems, nets_by_id, ledger, reserved, clock, timings)
-
-    def _solve_fallback(
-        self, problems, nets_by_id, ledger, reserved, clock, timings
-    ) -> None:
-        """Sequentially solve already-extracted problems after a pool failure."""
-        for leaf_index, problem in enumerate(problems):
-            if problem is None:
-                continue
-            with clock.phase("solve") as timer:
-                with tracer.span("engine.leaf", segments=problem.num_vars):
-                    x_values, info = self._solver.solve(problem)
-            metrics.inc("engine.leaves")
-            metrics.observe("engine.leaf_solve_seconds", timer.elapsed, _LEAF_BUCKETS)
-            overflow = self._map_and_apply(
-                problem, x_values, ledger, reserved, nets_by_id, clock
-            )
-            if convergence.is_enabled():
-                self._record_partition(
-                    leaf_index, problem, info, timer.elapsed, overflow, timings
+                overflow = self._map_and_apply(
+                    problem, x_values, ledger, reserved, nets_by_id, clock
                 )
+                if convergence.is_enabled():
+                    self._record_partition(
+                        leaf_index, problem, info, seconds, overflow, timings
+                    )
 
     def _record_partition(
         self, leaf_index, problem, info, solve_seconds, overflow, timings
@@ -1042,8 +735,6 @@ class CPLAEngine:
         # explicit dirty-marking keeps stale NetTiming objects from lingering.
         self.elmore.mark_dirty({var.key[0] for var in problem.vars})
         return ledger.overflow_events - overflow_before
-
-    # -- ILP-specific hook ------------------------------------------------------
 
     # -- layer snapshots --------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """The coordinator: dynamic, fault-tolerant scheduling of leaf solves.
 
-:class:`DistFabric` is a drop-in replacement for
-:class:`~repro.core.engine.LeafSolvePool` (same ``map``/``close``
-contract, same ``(result, telemetry)`` item shape) that swaps the static
-chunked ``pool.map`` for a scheduler:
+Every leaf backend answers one call, ``solve_many(problems, leaf_mask)``,
+with one ``(x_values, info, seconds, telemetry)`` entry per solved leaf.
+This module holds two of them: :class:`InlineLeafSolver`, the in-process
+loop, and :class:`DistFabric`, which spreads the solves over worker
+processes with a scheduler:
 
 - **cost-ordered dispatch** — tasks are heaped by an estimated cost
   (segment count x candidate-layer count, see :func:`task_cost`) and
@@ -19,22 +20,23 @@ chunked ``pool.map`` for a scheduler:
 - **straggler speculation** — an attempt running far past the median
   completed attempt is duplicated onto an idle worker
   (``dist.stragglers``); the first result wins and late duplicates are
-  dropped.  Leaf solves are deterministic functions of the problem (the
-  warm-start caches provably do not change results — see
-  tests/test_engine_reuse.py), so *which* attempt wins cannot change the
-  assignment: output stays bit-identical to the single-attempt run.
+  dropped, including those that finish after their map returned (every
+  dispatch carries its map serial).  Leaf solves are deterministic
+  functions of the problem (the warm-start caches provably do not change
+  results — see tests/test_engine_reuse.py), so *which* attempt wins
+  cannot change the assignment: output stays bit-identical to the
+  single-attempt run.
 
 Scheduling state lives entirely in the coordinator thread; worker I/O is
 multiplexed with :func:`multiprocessing.connection.wait`, so there are
-no coordinator-side locks to misorder results.  Every ``map`` returns
-results in task order, which is what keeps the engine's post-mapping
-(and therefore the final assignment digest) independent of scheduling.
+no coordinator-side locks to misorder results.  Results come back in task
+order, which is what keeps the engine's post-mapping (and therefore the
+final assignment digest) independent of scheduling.
 
 Catastrophic failure (a task exhausting its attempts, every worker lost,
-a protocol error) permanently downgrades the fabric exactly like a
-broken pool: ``map`` returns ``None``, the caller solves sequentially,
-and the failure is logged and counted (``engine.pool_failures`` plus
-``dist.failures``).
+a protocol error) permanently downgrades the fabric: this and every later
+``solve_many`` runs on :class:`InlineLeafSolver`, and the failure is
+logged and counted (``engine.pool_failures`` plus ``dist.failures``).
 """
 
 from __future__ import annotations
@@ -78,6 +80,39 @@ def task_cost(problem) -> float:
     )
 
 
+class InlineLeafSolver:
+    """The in-process leaf backend: one solve at a time in this process.
+
+    Serves ``--exec seq``, the default Gauss-Seidel schedule (the engine
+    hands it one leaf per call), and a broken :class:`DistFabric`.  It
+    solves with the solver's own warm-start store, the store the fabric
+    ships its state from, so its results equal the fabric's.
+    """
+
+    def __init__(self, solver) -> None:
+        self._solver = solver
+
+    def solve_many(self, problems, leaf_mask=None) -> list:
+        """Solve ``problems`` (those ``leaf_mask`` indexes, if given).
+
+        Returns one ``(x_values, info, seconds, None)`` per solved problem
+        in input order; masked-out positions are ``None``.
+        """
+        results: list = [None] * len(problems)
+        for index in range(len(problems)) if leaf_mask is None else leaf_mask:
+            problem = problems[index]
+            started = time.perf_counter()
+            with tracer.span("engine.leaf", segments=problem.num_vars):
+                x_values, info = self._solver.solve(problem)
+            results[index] = (
+                x_values, info, time.perf_counter() - started, None
+            )
+        return results
+
+    def close(self) -> None:
+        """Nothing to release — the backend is in-process."""
+
+
 @dataclass
 class DistFabricConfig:
     """Scheduler knobs (all tunable; defaults documented in
@@ -107,7 +142,7 @@ class DistFabricConfig:
     # workers; authkey is required when listening.
     listen: Optional[Tuple[str, int]] = None
     authkey: Optional[bytes] = None
-    # How long map() waits for a first ready worker before giving up.
+    # How long a solve waits for a first ready worker before giving up.
     worker_wait_timeout: float = 60.0
 
 
@@ -152,7 +187,11 @@ class _Worker:
         self.ready = False
         self.dead = False
         self.queue: Deque[int] = deque()
+        # The task index this worker is solving and the map it belongs to:
+        # a speculative duplicate can outlive its map, and its index then
+        # names a different task of the next one.
         self.inflight: Optional[int] = None
+        self.inflight_map = 0
         self.dispatched_at = 0.0
         self.last_seen = time.monotonic()
         self.busy_seconds = 0.0
@@ -193,6 +232,7 @@ class DistFabric:
         self._init_payload: Optional[str] = None
         self._workers: Dict[str, _Worker] = {}
         self._serial = itertools.count()
+        self._map_serial = 0  # tags every dispatch with the map it serves
         self._restarts_left = self.config.max_worker_restarts
         self._listener: Optional[Listener] = None
         self._accepted: List[Any] = []
@@ -206,44 +246,47 @@ class DistFabric:
         }
         _LIVE_FABRICS.add(self)
 
-    # -- public API (the LeafSolvePool contract) --------------------------
+    # -- public API (the leaf backend contract) ---------------------------
 
-    def map(self, problems, leaf_mask=None) -> Optional[list]:
-        """Solve the leaf problems; ``None`` means "do it yourself".
+    def solve_many(self, problems, leaf_mask=None) -> list:
+        """Solve ``problems`` (those ``leaf_mask`` indexes, if given).
 
-        ``leaf_mask`` (indices into ``problems``) restricts the solve to a
-        sparse leaf subset: only the masked tasks are scheduled on the
-        fabric and masked-out positions come back as ``None`` — the ECO
-        path leaves clean leaves as unextracted placeholders.
+        Returns one ``(x_values, info, seconds, telemetry)`` per solved
+        problem in input order, ``seconds`` being the worker's solve time;
+        masked-out positions are ``None``.  Only the solved problems are
+        scheduled, and an empty selection spawns no worker.  If the
+        fabric breaks, this call and every later one are solved by
+        :class:`InlineLeafSolver` from the same warm-start store.
         """
-        if self._broken or not problems:
-            return None if self._broken else []
-        if leaf_mask is not None:
-            indices = list(leaf_mask)
-            if not indices:
-                return [None] * len(problems)
-            subset = self.map([problems[i] for i in indices])
-            if subset is None:
-                return None
-            results: list = [None] * len(problems)
-            for position, index in enumerate(indices):
-                results[index] = subset[position]
-            return results
-        try:
-            self._ensure_started()
-            with tracer.span("dist.map", tasks=len(problems)):
-                return self._run(problems)
-        except Exception as exc:
-            log.warning(
-                "dist fabric failed (%s: %s); continuing with sequential "
-                "solves", type(exc).__name__, exc,
+        indices = (
+            range(len(problems)) if leaf_mask is None else list(leaf_mask)
+        )
+        selected = [problems[i] for i in indices]
+        if not selected:
+            return [None] * len(problems)
+        if not self._broken:
+            try:
+                self._ensure_started()
+                with tracer.span("dist.map", tasks=len(selected)):
+                    solved = self._run(selected)
+            except Exception as exc:
+                log.warning(
+                    "dist fabric failed (%s: %s); continuing with "
+                    "in-process solves", type(exc).__name__, exc,
+                )
+                metrics.inc("engine.pool_failures")
+                metrics.inc("dist.failures")
+                self.stats["failures"] += 1
+                self._broken = True
+                self.close()
+        if self._broken:
+            return InlineLeafSolver(self._solver).solve_many(
+                problems, leaf_mask
             )
-            metrics.inc("engine.pool_failures")
-            metrics.inc("dist.failures")
-            self.stats["failures"] += 1
-            self._broken = True
-            self.close()
-            return None
+        results: list = [None] * len(problems)
+        for index, result in zip(indices, solved):
+            results[index] = result
+        return results
 
     def close(self) -> None:
         """Shut every worker down (idempotent)."""
@@ -266,10 +309,6 @@ class DistFabric:
             except OSError:
                 pass
         self._started = False
-
-    # ``shutdown`` mirrors LeafSolvePool's legacy spelling.
-    def shutdown(self) -> None:
-        self.close()
 
     def __enter__(self) -> "DistFabric":
         return self
@@ -395,6 +434,7 @@ class DistFabric:
             )
             for i, p in enumerate(problems)
         ]
+        self._map_serial += 1
         self.stats["tasks"] += len(tasks)
         self.stats["maps"] += 1
         metrics.inc("dist.tasks", len(tasks))
@@ -425,7 +465,7 @@ class DistFabric:
             completed += self._reap_timeouts(tasks, retry_heap)
         self._finish_map(started)
         # Advance the authoritative warm store in task order — the same
-        # order the sequential fallback and the pool backend would.
+        # order InlineLeafSolver would.
         if managed:
             for task in tasks:
                 self._solver.import_warm(task.problem, task.new_warm)
@@ -545,10 +585,8 @@ class DistFabric:
         )
         worst, worst_elapsed = None, threshold
         for worker in self._workers.values():
-            if worker.dead or worker.inflight is None:
-                continue
-            task = tasks[worker.inflight]
-            if task.done or task.speculated:
+            task = None if worker.dead else self._inflight_task(worker, tasks)
+            if task is None or task.done or task.speculated:
                 continue
             elapsed = now - worker.dispatched_at
             if elapsed >= worst_elapsed:
@@ -570,6 +608,7 @@ class DistFabric:
         task.dispatches += 1
         message = {
             "type": "task",
+            "map": self._map_serial,
             "task": task.index,
             "attempt": task.dispatches,
             "cost": task.cost,
@@ -586,6 +625,7 @@ class DistFabric:
             task.dispatches -= 1
             return False
         worker.inflight = task.index
+        worker.inflight_map = self._map_serial
         worker.dispatched_at = now
         task.running_on.add(worker.id)
         return True
@@ -627,36 +667,53 @@ class DistFabric:
                 worker.dead = True
                 return completed
 
+    def _inflight_task(self, worker, tasks) -> Optional[_Task]:
+        """The current map's task ``worker`` is solving, if any.
+
+        A worker still finishing a duplicate dispatched by an earlier map
+        is busy, but its ``inflight`` index does not name a task of this
+        map.
+        """
+        if worker.inflight is None or worker.inflight_map != self._map_serial:
+            return None
+        return tasks[worker.inflight]
+
+    def _frame_task(self, message, tasks) -> Optional[_Task]:
+        """Task a result/error frame answers; None if from an earlier map."""
+        if message.get("map") != self._map_serial:
+            return None
+        return tasks[message["task"]]
+
     def _on_result(self, worker, message, tasks) -> int:
-        index = message["task"]
-        task = tasks[index]
-        now = time.monotonic()
-        if worker.inflight == index:
+        # A worker solves one dispatch at a time, so any result frees it.
+        if worker.inflight is not None:
             worker.inflight = None
-            worker.busy_seconds += now - worker.dispatched_at
+            worker.busy_seconds += time.monotonic() - worker.dispatched_at
             worker.tasks_done += 1
-        if task.done:
-            # A speculative duplicate lost the race.  Every attempt solves
-            # the same (problem, warm) pair, so the dropped result is
-            # bit-identical to the one already recorded — dropping it
-            # cannot change the output.
+        task = self._frame_task(message, tasks)
+        if task is None or task.done:
+            # A speculative duplicate lost the race — possibly finishing
+            # after its map returned.  Every attempt solves the same
+            # (problem, warm) pair, so the dropped result is bit-identical
+            # to the one already recorded — dropping it cannot change the
+            # output.
             self.stats["late_results"] += 1
             metrics.inc("dist.late_results")
             return 0
         task.done = True
-        result, telemetry, task.new_warm = protocol.unpack_payload(
+        (x_values, info), telemetry, task.new_warm = protocol.unpack_payload(
             message["payload"]
         )
-        task.result = (result, telemetry)
+        task.result = (
+            x_values, info, telemetry.phases.get("solve", 0.0), telemetry
+        )
         self._durations.append(float(message.get("solve_seconds", 0.0)))
         return 1
 
     def _on_error(self, worker, message, tasks, retry_heap) -> None:
-        index = message["task"]
-        if worker.inflight == index:
-            worker.inflight = None
-        task = tasks[index]
-        if task.done:
+        worker.inflight = None
+        task = self._frame_task(message, tasks)
+        if task is None or task.done:
             return
         self._requeue(
             task, retry_heap,
@@ -674,11 +731,10 @@ class DistFabric:
             pass
         if worker.process is not None:
             worker.process.join(timeout=0.5)
-        if worker.inflight is not None:
-            task = tasks[worker.inflight]
-            worker.inflight = None
-            if not task.done:
-                self._requeue(task, retry_heap, f"worker {worker.id} died")
+        task = self._inflight_task(worker, tasks)
+        worker.inflight = None
+        if task is not None and not task.done:
+            self._requeue(task, retry_heap, f"worker {worker.id} died")
         # Orphaned queue entries go back to the living.
         orphans = [i for i in worker.queue if not tasks[i].done]
         worker.queue.clear()

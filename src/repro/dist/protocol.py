@@ -29,16 +29,18 @@ type            direction   fields
 ==============  ==========  ==================================================
 ``init``        C -> W      ``payload`` = pickled ``(solver, capture_flags)``
 ``ready``       W -> C      ``worker``, ``pid``
-``task``        C -> W      ``task``, ``attempt``, ``cost``, ``payload`` =
-                            pickled ``(problem, warm_state)``; optional
+``task``        C -> W      ``map``, ``task``, ``attempt``, ``cost``,
+                            ``payload`` = pickled ``(problem, warm_state)``;
+                            ``map`` is the coordinator's map serial (task
+                            indices restart at 0 on every map); optional
                             ``trace`` = ``{"trace_id", "span_id"}`` — the
                             coordinator's trace context, carried in the
                             JSON envelope (not the cached pickled payload)
                             so retries and steals re-ship the live context
-``result``      W -> C      ``task``, ``attempt``, ``solve_seconds``,
-                            ``payload`` = pickled
+``result``      W -> C      ``map``, ``task``, ``attempt``,
+                            ``solve_seconds``, ``payload`` = pickled
                             ``(result, telemetry, new_warm_state)``
-``error``       W -> C      ``task``, ``attempt``, ``message``
+``error``       W -> C      ``map``, ``task``, ``attempt``, ``message``
 ``heartbeat``   W -> C      ``worker``, ``tasks_done``
 ``shutdown``    C -> W      --
 ``bye``         W -> C      ``worker``
@@ -53,7 +55,7 @@ import pickle
 import struct
 from typing import Any, Dict, Optional
 
-PROTOCOL_VERSION = "repro.dist/v1"
+PROTOCOL_VERSION = "repro.dist/v2"
 
 # 64 MiB: far above any leaf problem, far below a runaway payload.
 MAX_FRAME_BYTES = 64 * 1024 * 1024

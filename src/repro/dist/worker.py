@@ -4,8 +4,8 @@ A worker is a plain loop over :mod:`repro.dist.protocol` frames — it does
 not care whether its connection is an OS pipe (the in-process workers the
 coordinator spawns) or an authenticated TCP socket (``repro dist-worker
 --connect host:port``).  The first frame must be ``init``: it carries the
-pickled solver (shipped once, exactly like the pool initializer used to)
-plus the observability capture flags; the solver stays resident across
+pickled solver (shipped once per worker, not per task) plus the
+observability capture flags; the solver stays resident across
 tasks, while each task ships its own ADMM warm-start state from the
 coordinator's authoritative store (see :func:`solve_task`) so results
 never depend on which worker serves which task.
@@ -109,7 +109,7 @@ class _Heartbeat(threading.Thread):
 
 def solve_task(solver, capture_flags: Tuple[bool, bool, bool], problem, warm=None,
                trace=None):
-    """One leaf solve with its telemetry, mirroring the pool task body.
+    """One leaf solve with its telemetry.
 
     ``warm`` is the coordinator-owned warm-start state shipped with the
     task; it overwrites this worker's resident state before solving, so
@@ -193,8 +193,15 @@ def serve_connection(
                 os.kill(os.getpid(), signal.SIGKILL)
             if fault is not None and fault.kind == "hang":
                 time.sleep(_HANG_SECONDS)
-            task_id = message["task"]
-            attempt = message["attempt"]
+            # Echoed in the reply so the coordinator can tell a late
+            # duplicate of an earlier map from this map's task of the same
+            # index.
+            routing = {
+                "map": message.get("map"),
+                "task": message["task"],
+                "attempt": message["attempt"],
+                "worker": worker_id,
+            }
             started = time.monotonic()
             try:
                 problem, warm = protocol.unpack_payload(message["payload"])
@@ -203,20 +210,14 @@ def serve_connection(
             except Exception as exc:
                 with send_lock:
                     protocol.send_message(conn, {
-                        "type": "error",
-                        "task": task_id,
-                        "attempt": attempt,
-                        "worker": worker_id,
+                        "type": "error", **routing,
                         "message": f"{type(exc).__name__}: {exc}",
                     })
                 continue
             heartbeat.tasks_done += 1
             with send_lock:
                 protocol.send_message(conn, {
-                    "type": "result",
-                    "task": task_id,
-                    "attempt": attempt,
-                    "worker": worker_id,
+                    "type": "result", **routing,
                     "solve_seconds": time.monotonic() - started,
                     "payload": protocol.pack_payload(result),
                 })

@@ -51,9 +51,9 @@ class AssignRequest:
     with equal signatures are guaranteed the bit-identical assignment, so
     the batch scheduler may solve one and fan the result out ("dedup"),
     and the engine host keys its resident warm state by it.  ``workers``
-    is part of the signature because sequential (Gauss–Seidel) and pooled
-    (Jacobi) solves legitimately produce different — both valid —
-    assignments.  ``exec_backend`` (JSON key ``"exec"``) is part of the
+    is part of the signature because sequential (Gauss–Seidel) and
+    worker-process (Jacobi) solves legitimately produce different — both
+    valid — assignments.  ``exec_backend`` (JSON key ``"exec"``) is part of the
     signature too, even though pool, dist, batch, and seq are
     bit-identical on equal snapshots: the resident engine holds the
     backend's live resources, so two backends must never share one

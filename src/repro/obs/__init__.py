@@ -18,8 +18,8 @@ Five modules:
 - :mod:`repro.obs.ledger` — the append-only JSON-lines run ledger and the
   diff/regression-check logic behind ``repro obs``;
 - :mod:`repro.obs.collect` — merges traces/metrics/convergence
-  records/wall-clock phases returned from ``ProcessPoolExecutor`` workers
-  back into the parent process (per-leaf telemetry from Jacobi-mode solves
+  records/wall-clock phases returned from dist fabric workers back into
+  the parent process (per-leaf telemetry from Jacobi-mode solves
   would otherwise be lost with the worker process).
 
 Naming and usage conventions are documented in ``docs/OBSERVABILITY.md``.

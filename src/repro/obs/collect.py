@@ -1,9 +1,9 @@
 """Bring worker-process telemetry back into the parent.
 
-With ``workers > 1`` the engine solves leaves in a ``ProcessPoolExecutor``:
-every span, metric, and wall-clock phase recorded inside the worker lives
-in the *worker's* memory and dies with it unless shipped home.  The
-protocol is:
+With ``workers > 1`` the engine solves leaves in dist fabric worker
+processes: every span, metric, and wall-clock phase recorded inside the
+worker lives in the *worker's* memory and dies with it unless shipped
+home.  The protocol is:
 
 1. the worker task starts with :func:`reset_worker_state` (a forked child
    inherits the parent's buffers — they must not be re-exported);
@@ -28,7 +28,7 @@ from repro.utils import WallClock
 
 @dataclass
 class WorkerTelemetry:
-    """Everything a pool worker measured while solving one task."""
+    """Everything a fabric worker measured while solving one task."""
 
     spans: List[Dict[str, Any]] = field(default_factory=list)
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)

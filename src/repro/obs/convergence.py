@@ -6,7 +6,7 @@ The recorder answers "why did this run converge slowly?" at two levels:
   itself: one record per :meth:`~repro.solver.sdp.ADMMSDPSolver.solve` with
   the residual/objective samples taken at each ``check_every`` boundary,
   the projection wall-clock, and the warm/cold start disposition.  Records
-  made inside pool workers ride home in the
+  made inside fabric workers ride home in the
   :class:`~repro.obs.collect.WorkerTelemetry` payload;
 - **partition records** (:class:`PartitionRecord`) — written by the engine
   in the parent process: one record per partition leaf per engine

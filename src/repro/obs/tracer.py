@@ -5,14 +5,14 @@ pid)``.  Nesting is tracked per thread: entering a span pushes it on a
 thread-local stack, so a span opened while another is active records that
 span as its parent.  Span ids are 16 hex characters embedding the process
 id and a per-process sequence (``"%08x%08x" % (pid, seq)``), which makes
-ids from ``ProcessPoolExecutor`` workers collision-free when their buffers
+ids from fabric worker processes collision-free when their buffers
 are merged back into the parent (:mod:`repro.obs.collect`) and keeps them
 valid W3C ``traceparent`` parent-ids.
 
 Cross-process propagation uses an explicit :class:`TraceContext` — a
 W3C-style ``(trace_id, span_id)`` pair.  The serving tier derives one per
 HTTP request (from an incoming ``traceparent`` header or freshly minted),
-ships it over the dist wire protocol / pool task payloads, and the worker
+ships it over the dist wire protocol, and the worker
 :func:`attach`-es it so its first span parents under the remote caller:
 
     ctx = tracer.current_context()          # coordinator, inside a span

@@ -5,7 +5,7 @@ A single dispatcher task pulls signature-grouped batches from the
 :class:`~repro.service.resident.EngineHost` in one dedicated worker
 thread.  The thread keeps the asyncio loop responsive (health checks and
 metric scrapes answer while an engine grinds) while serializing engine
-access — residents hold process pools and mutable benchmarks, so exactly
+access — residents hold worker processes and mutable benchmarks, so exactly
 one solve runs at a time.
 
 Batching is deduplication: every job in a batch shares the problem

@@ -8,8 +8,8 @@ be served repeatedly without paying cold-start costs again:
   instance can be rewound instead of re-routed per request;
 - for the CPLA methods, a long-lived :class:`~repro.core.engine.CPLAEngine`
   whose Elmore fingerprint cache, per-partition ADMM warm-start ``X``
-  cache, and persistent :class:`~repro.core.engine.LeafSolvePool` all
-  survive between runs.
+  cache, and leaf backend (with its worker processes, for ``pool``/``dist``
+  requests with ``workers > 1``) all survive between runs.
 
 Engine reuse is deterministic (warm rerun == fresh run, bit-identical;
 enforced by tests/test_engine_reuse.py), so serving through a resident
@@ -17,7 +17,7 @@ engine returns exactly what a one-shot ``repro run`` would — just faster
 from the second request on.
 
 :class:`EngineHost` is the LRU of residents, capacity-bounded because each
-CPLA resident may hold a process pool.  It is driven from the batch
+CPLA resident may hold worker processes.  It is driven from the batch
 scheduler's single engine thread; it is not itself thread-safe.
 """
 

@@ -28,7 +28,7 @@ it through the batch scheduler; see ``repro obs trace``).
 
 Lifecycle: SIGTERM/SIGINT (or ``/v1/drain``) stops admission, lets
 in-flight and queued jobs finish on the engine thread, closes resident
-engines (and their process pools), then exits 0.  Request handling is
+engines (and their worker processes), then exits 0.  Request handling is
 crash-isolated — a poisoned job produces a structured 500 and evicts its
 resident; the server keeps serving.
 """

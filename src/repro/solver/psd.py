@@ -5,25 +5,18 @@ off-diagonal entries scaled by sqrt(2), so Frobenius inner products become
 plain dot products — the coordinate system the ADMM SDP solver's affine
 projection works in.
 
-The free functions recompute their index bookkeeping per call, which is fine
-for one-shot conversions but dominated the ADMM profile (tens of thousands
-of projections per partition solve).  :class:`SymmetricOps` hoists the
-indices, masks, scratch matrix, and LAPACK eigendecomposition workspace
-sizing out of the loop — one instance per matrix order serves every
-iteration of every solve at that order.
+These functions convert a solve's inputs and outputs once; the ADMM
+iterations themselves run in :mod:`repro.batchsolve.kernels`, which keeps
+its own cached triangle indices.  :func:`project_psd` and :func:`is_psd`
+are dense reference implementations.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised through SymmetricOps
-    from scipy.linalg import lapack as _lapack
-except ImportError:  # pragma: no cover
-    _lapack = None
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -95,91 +88,3 @@ def is_psd(matrix: np.ndarray, tol: float = 1e-8) -> bool:
     sym = (matrix + matrix.T) / 2.0
     vals = np.linalg.eigvalsh(sym)
     return bool(vals[0] >= -tol)
-
-
-class SymmetricOps:
-    """Precomputed svec/smat/PSD-projection machinery for one matrix order.
-
-    Holds the packed-triangle index arrays, the off-diagonal scaling masks,
-    an ``n x n`` scratch matrix reused by every :meth:`smat`, and the
-    LAPACK ``dsyevr`` workspace sizes queried once at construction — so the
-    per-projection cost is the eigendecomposition itself, not the
-    bookkeeping around it.
-    """
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError("matrix order must be >= 1")
-        self.n = n
-        self.rows, self.cols = np.triu_indices(n)
-        self.off = self.rows != self.cols
-        # Lifetime projection counters (two int increments next to an
-        # eigendecomposition — structurally free).  The ADMM solver reads
-        # deltas around a solve to report what fraction of PSD projections
-        # were identities (iterate already in the cone), a cheap convergence
-        # signal surfaced by repro.obs.convergence.
-        self.projection_count = 0
-        self.identity_count = 0
-        self._scratch = np.zeros((n, n), dtype=np.float64)
-        self._lwork: Optional[Tuple[int, int]] = None
-        if _lapack is not None:
-            try:
-                lwork, liwork = _lapack.dsyevr_lwork(n)[:2]
-                self._lwork = (int(lwork), int(liwork))
-            except Exception:  # pragma: no cover - lapack probe failure
-                self._lwork = None
-
-    # -- conversions ------------------------------------------------------
-
-    def svec(self, matrix: np.ndarray) -> np.ndarray:
-        """:func:`svec` without re-deriving the triangle indices."""
-        out = matrix[self.rows, self.cols]
-        out[self.off] *= _SQRT2
-        return out
-
-    def smat(self, vector: np.ndarray) -> np.ndarray:
-        """:func:`smat` into the shared scratch matrix.
-
-        The returned array is reused by the next :meth:`smat` call — copy it
-        to keep it beyond that.
-        """
-        vals = vector.copy()
-        vals[self.off] /= _SQRT2
-        m = self._scratch
-        m[self.rows, self.cols] = vals
-        m[self.cols, self.rows] = vals
-        return m
-
-    # -- eigendecomposition ------------------------------------------------
-
-    def eigh(self, sym: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of a symmetric matrix (destroys ``sym``).
-
-        Uses ``dsyevr`` with the workspace sizes queried at construction
-        (plain ``eigh`` re-queries LAPACK for them on every call); falls
-        back to numpy when scipy's LAPACK bindings are unavailable.
-        """
-        if self._lwork is not None:
-            lwork, liwork = self._lwork
-            w, z, _, _, info = _lapack.dsyevr(
-                sym, compute_v=1, lower=0, lwork=lwork, liwork=liwork,
-                overwrite_a=1,
-            )
-            if info == 0:
-                return w[: self.n], z
-        return np.linalg.eigh(sym)
-
-    def project_psd_svec(self, v: np.ndarray) -> np.ndarray:
-        """PSD-cone projection acting directly in svec coordinates.
-
-        Equivalent to ``svec(project_psd(smat(v, n)))``; when the matrix is
-        already PSD the input vector is returned as-is (the projection is
-        the identity), skipping the reconstruction entirely.
-        """
-        self.projection_count += 1
-        vals, vecs = self.eigh(self.smat(v))
-        if vals[0] >= 0.0:
-            self.identity_count += 1
-            return v
-        np.clip(vals, 0.0, None, out=vals)
-        return self.svec((vecs * vals) @ vecs.T)

@@ -34,7 +34,7 @@ from repro.batchsolve.kernels import (
     run_admm,
 )
 from repro.obs import convergence
-from repro.solver.psd import SymmetricOps, entry_svec_index, smat, svec, svec_dim
+from repro.solver.psd import entry_svec_index, smat, svec, svec_dim
 from repro.utils import get_logger
 
 log = get_logger(__name__)
@@ -175,24 +175,11 @@ class ADMMSDPSolver:
     this class is its batch-size-1 front end.  That sharing is the batched
     backend's correctness story: ``--exec batch`` stacks the very same
     members and runs the very same kernel, so scalar and batched solves
-    are bit-identical by construction.
-
-    The solver is stateless with respect to problems but keeps a
-    :class:`~repro.solver.psd.SymmetricOps` workspace per matrix order —
-    partition leaves of the same size (the common case across engine
-    iterations) reuse the index arrays, and the lifetime PSD-projection
-    counters aggregate across backends.
+    are bit-identical by construction.  The solver is stateless.
     """
 
     def __init__(self, settings: Optional[SDPSettings] = None) -> None:
         self.settings = settings or SDPSettings()
-        self._ops: Dict[int, SymmetricOps] = {}
-
-    def _ops_for(self, n: int) -> SymmetricOps:
-        ops = self._ops.get(n)
-        if ops is None:
-            ops = self._ops[n] = SymmetricOps(n)
-        return ops
 
     def admm_options(self) -> AdmmOptions:
         """The kernel-facing view of :class:`SDPSettings`."""
@@ -216,8 +203,7 @@ class ADMMSDPSolver:
         infinities kept infinite.
         """
         n = problem.n
-        ops = self._ops_for(n)
-        c = ops.svec(problem.cost)
+        c = svec(problem.cost)
         A = b = None
         if problem.num_constraints:
             A, b = problem.constraint_matrix()
@@ -236,15 +222,9 @@ class ADMMSDPSolver:
     ) -> SDPResult:
         """Turn one kernel member result into an :class:`SDPResult`.
 
-        Reports the PSD consensus copy (exactly feasible for the cone) and
-        folds the member's projection counters into the per-order
-        :class:`~repro.solver.psd.SymmetricOps` lifetime counts.
+        Reports the PSD consensus copy (exactly feasible for the cone).
         """
-        n = problem.n
-        ops = self._ops_for(n)
-        ops.projection_count += member_result.projections
-        ops.identity_count += member_result.identities
-        X = smat(member_result.z_psd, n)
+        X = smat(member_result.z_psd, problem.n)
         objective = float(np.tensordot(problem.cost, X))
         return SDPResult(
             X=X,

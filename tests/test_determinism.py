@@ -62,7 +62,7 @@ class TestDeterminism:
         assert layer_signature(a) != layer_signature(b)
 
     def test_exec_backend_family_bit_identical(self):
-        """seq, batch, and pool are one digest family at any worker count.
+        """seq, batch, pool, and dist are one digest family.
 
         The batched backend stacks mixed-shape leaves into shape buckets
         (the tiny benchmark produces several distinct matrix orders per
@@ -79,7 +79,9 @@ class TestDeterminism:
             ),
         )
         signatures = {}
-        for backend, workers in (("seq", 0), ("batch", 0), ("pool", 2)):
+        for backend, workers in (
+            ("seq", 0), ("batch", 0), ("pool", 2), ("dist", 2),
+        ):
             bench = prepare(generate(tiny_spec()))
             with CPLAEngine(
                 bench,
@@ -87,4 +89,7 @@ class TestDeterminism:
             ) as engine:
                 engine.run()
             signatures[backend] = layer_signature(bench)
-        assert signatures["seq"] == signatures["batch"] == signatures["pool"]
+        assert (
+            signatures["seq"] == signatures["batch"]
+            == signatures["pool"] == signatures["dist"]
+        )

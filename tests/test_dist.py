@@ -5,9 +5,9 @@ each task's warm-start state from the coordinator's authoritative store,
 so any task->worker mapping — work stealing, retries after a crash, a
 speculative duplicate, a remote TCP worker — produces the bit-identical
 assignment.  The fault tests in :class:`TestFaultBitIdentity` assert the
-sha256 assignment digest of a faulted dist run equals a healthy pool run
-(not the Gauss-Seidel serial mode, which is a different — also valid —
-algorithm).
+sha256 assignment digest of a faulted dist run equals an in-process
+``seq`` run (not the Gauss-Seidel serial mode, which is a different —
+also valid — algorithm).
 """
 
 from __future__ import annotations
@@ -18,9 +18,14 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core.engine import CPLAEngine, LeafSolvePool
+from repro.core.engine import CPLAEngine
 from repro.dist import protocol
-from repro.dist.fabric import DistFabric, DistFabricConfig, task_cost
+from repro.dist.fabric import (
+    DistFabric,
+    DistFabricConfig,
+    InlineLeafSolver,
+    task_cost,
+)
 from repro.dist.worker import FaultSpec, connect_and_serve, parse_fault_specs
 from repro.ispd.request import AssignRequest, RequestError, assignment_digest
 from repro.ispd.synthetic import generate
@@ -49,8 +54,8 @@ def _digest(exec_backend, fault=None, monkeypatch=None, dist=None, workers=2):
     with CPLAEngine(bench, config) as engine:
         engine.run()
         stats = (
-            engine._pool.stats_snapshot()
-            if isinstance(engine._pool, DistFabric)
+            engine._backend.stats_snapshot()
+            if isinstance(engine._backend, DistFabric)
             else None
         )
     return assignment_digest(bench), stats
@@ -150,39 +155,114 @@ class StubSolver:
         return problem.value * 2, "info"
 
 
+@dataclass(frozen=True)
+class SleepyProblem:
+    value: int
+    sleep: float = 0.0
+    cost_hint: int = 1
+    num_vars: int = 1
+
+
+class SleepySolver:
+    """Stub whose solve takes ``problem.sleep`` seconds."""
+
+    def solve(self, problem):
+        time.sleep(problem.sleep)
+        return problem.value * 2, "info"
+
+
+def _values(results):
+    """The x_values of each ``solve_many`` entry."""
+    return [entry[0] for entry in results]
+
+
 class TestFabricScheduling:
     def test_results_in_input_order(self):
         problems = [StubProblem(v, cost_hint=10 - v) for v in range(8)]
         with DistFabric(2, StubSolver()) as fabric:
-            results = fabric.map(problems)
-        assert results is not None
-        assert [r for (r, _info), _tel in results] == [v * 2 for v in range(8)]
+            results = fabric.solve_many(problems)
+        assert _values(results) == [v * 2 for v in range(8)]
+        assert all(info == "info" for _x, info, _s, _t in results)
+        assert all(telemetry is not None for *_, telemetry in results)
         assert fabric.stats["tasks"] == 8
+
+    def test_largest_first_preserves_input_order(self):
+        """Costs ascend with the index, so dispatch runs in reverse."""
+        problems = [StubProblem(v, cost_hint=v) for v in range(6)]
+        with DistFabric(2, StubSolver()) as fabric:
+            results = fabric.solve_many(problems)
+        assert _values(results) == [v * 2 for v in range(6)]
 
     def test_empty_map(self):
         with DistFabric(1, StubSolver()) as fabric:
-            assert fabric.map([]) == []
+            assert fabric.solve_many([]) == []
+            assert fabric.solve_many([StubProblem(1)], leaf_mask=[]) == [None]
+            assert not fabric._workers  # nothing to solve spawns nobody
+
+    def test_leaf_mask_solves_only_masked(self):
+        problems = [StubProblem(v) for v in range(4)]
+        with DistFabric(2, StubSolver()) as fabric:
+            results = fabric.solve_many(problems, leaf_mask=[1, 3])
+        assert results[0] is None and results[2] is None
+        assert results[1][0] == 2 and results[3][0] == 6
+        assert fabric.stats["tasks"] == 2
 
     def test_task_cost_prefers_cost_hint(self):
         assert task_cost(StubProblem(0, cost_hint=7)) == 7
 
     def test_reuse_across_maps(self):
         with DistFabric(1, StubSolver()) as fabric:
-            first = fabric.map([StubProblem(1)])
-            second = fabric.map([StubProblem(2), StubProblem(3)])
-        assert [r for (r, _i), _t in first] == [2]
-        assert [r for (r, _i), _t in second] == [4, 6]
+            first = fabric.solve_many([StubProblem(1)])
+            second = fabric.solve_many([StubProblem(2), StubProblem(3)])
+        assert _values(first) == [2]
+        assert _values(second) == [4, 6]
         assert fabric.stats["maps"] == 2
 
-    def test_broken_fabric_returns_none(self, monkeypatch):
-        """Poisoned init + no restarts -> the engine fallback contract."""
+    def test_late_duplicate_does_not_answer_next_map(self):
+        """A speculative duplicate that outlives its map is dropped.
+
+        Task indices restart at 0 on every map.  Map 1's slow task 0 is
+        duplicated onto the idle worker; the original wins, so map 1
+        returns while the duplicate still runs.  Its result then arrives
+        during map 2, whose task 0 is still solving, and must not be
+        taken as that task's answer.
+        """
+        config = DistFabricConfig(
+            straggler_min_seconds=0.3, straggler_factor=2.0,
+            heartbeat_timeout=0.4,  # wake the scheduler every 0.2 s
+            task_timeout=30.0,
+        )
+        with DistFabric(2, SleepySolver(), config) as fabric:
+            # Warm both workers so map 1's dispatch timing is steady.
+            fabric.solve_many([SleepyProblem(100), SleepyProblem(101)])
+            first = fabric.solve_many(
+                [SleepyProblem(0, sleep=1.5, cost_hint=10), SleepyProblem(1)]
+            )
+            second = fabric.solve_many(
+                [SleepyProblem(10, sleep=1.5, cost_hint=10), SleepyProblem(11)]
+            )
+        assert _values(first) == [0, 2]
+        assert _values(second) == [20, 22]
+        assert fabric.stats["stragglers"] >= 1
+        assert fabric.stats["late_results"] >= 1
+
+    def test_broken_fabric_solves_in_process(self, monkeypatch):
+        """Poisoned init + no restarts -> solved by InlineLeafSolver."""
+        metrics.enable()
         monkeypatch.setenv("REPRO_DIST_FAULT", "initfail:0")
         config = DistFabricConfig(max_worker_restarts=0, worker_wait_timeout=5.0)
         with DistFabric(1, StubSolver(), config) as fabric:
-            assert fabric.map([StubProblem(1)]) is None
+            results = fabric.solve_many([StubProblem(1)])
+            assert _values(results) == [2]
+            assert results[0][3] is None  # no worker telemetry in-process
             assert fabric.stats["failures"] == 1
             # A broken fabric stays broken — no half-recovered state.
-            assert fabric.map([StubProblem(2)]) is None
+            assert _values(fabric.solve_many([StubProblem(2)])) == [4]
+            assert fabric.stats["failures"] == 1
+            assert not fabric._workers
+        counters = metrics.registry().as_dict()["counters"]
+        assert counters["engine.pool_failures"] == 1
+        assert counters["dist.failures"] == 1
 
     def test_remote_worker_over_tcp(self):
         """A worker joined via the TCP listener serves tasks correctly."""
@@ -206,8 +286,8 @@ class TestFabricScheduling:
                 time.sleep(0.05)
             else:
                 pytest.fail("remote worker never reached the accept queue")
-            results = fabric.map([StubProblem(v) for v in range(6)])
-            assert [r for (r, _i), _t in results] == [v * 2 for v in range(6)]
+            results = fabric.solve_many([StubProblem(v) for v in range(6)])
+            assert _values(results) == [v * 2 for v in range(6)]
         remote.join(timeout=10.0)
         assert not remote.is_alive()
 
@@ -249,50 +329,52 @@ class TestWarmStateOwnership:
         with DistFabric(2, StubSolver()) as _:
             pass  # unrelated fabric: prove no cross-talk via globals
         with DistFabric(2, solver) as fabric:
-            first = fabric.map(problems)
-            second = fabric.map(problems)
-        assert [r for (r, _i), _t in first] == [(v, None) for v in range(3)]
+            first = fabric.solve_many(problems)
+            second = fabric.solve_many(problems)
+        assert _values(first) == [(v, None) for v in range(3)]
         # Coordinator-side store advanced in task order after map 1 ...
         assert solver.store == {0: "X0", 1: "X1", 2: "X2"}
         # ... and map 2's solves (wherever they ran) saw exactly that state.
-        assert [r for (r, _i), _t in second] == [(v, f"X{v}") for v in range(3)]
+        assert _values(second) == [(v, f"X{v}") for v in range(3)]
 
-    def test_pool_backend_same_contract(self):
+    def test_inline_backend_same_contract(self):
+        """The fabric's in-process fallback sees the same warm states."""
         solver = WarmRecordingSolver()
         problems = [StubProblem(v) for v in range(3)]
-        with LeafSolvePool(2, solver) as pool:
-            first = pool.map(problems)
-            second = pool.map(problems)
-        assert [r for (r, _i), _t in first] == [(v, None) for v in range(3)]
+        inline = InlineLeafSolver(solver)
+        first = inline.solve_many(problems)
+        second = inline.solve_many(problems)
+        assert _values(first) == [(v, None) for v in range(3)]
         assert solver.store == {0: "X0", 1: "X1", 2: "X2"}
-        assert [r for (r, _i), _t in second] == [(v, f"X{v}") for v in range(3)]
+        assert _values(second) == [(v, f"X{v}") for v in range(3)]
 
 
 # -- bit-identity under faults (the acceptance criterion) ---------------------
 
 
 @pytest.fixture(scope="module")
-def pool_digest():
+def seq_digest():
+    """Reference digest from the in-process Jacobi backend."""
     bench = _fresh_bench()
-    with CPLAEngine(bench, fast_cpla(workers=2, exec_backend="pool")) as engine:
+    with CPLAEngine(bench, fast_cpla(exec_backend="seq")) as engine:
         engine.run()
     return assignment_digest(bench)
 
 
 class TestFaultBitIdentity:
-    def test_healthy_dist_matches_pool(self, pool_digest):
+    def test_healthy_dist_matches_seq(self, seq_digest):
         digest, stats = _digest("dist")
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["tasks"] > 0
 
-    def test_worker_crash_mid_task(self, pool_digest, monkeypatch):
+    def test_worker_crash_mid_task(self, seq_digest, monkeypatch):
         """SIGKILL mid-task: retried elsewhere, result bit-identical."""
         digest, stats = _digest("dist", fault="crash:0:2", monkeypatch=monkeypatch)
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["retries"] >= 1
         assert stats["worker_restarts"] >= 1
 
-    def test_worker_hang_past_timeout(self, pool_digest, monkeypatch):
+    def test_worker_hang_past_timeout(self, seq_digest, monkeypatch):
         """A hang past task_timeout is reaped and re-dispatched.
 
         Speculation is pushed out of reach so the timeout path itself is
@@ -305,10 +387,10 @@ class TestFaultBitIdentity:
                 task_timeout=1.5, straggler_min_seconds=600.0
             ),
         )
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["retries"] >= 1
 
-    def test_straggler_speculation_rescues_hang(self, pool_digest, monkeypatch):
+    def test_straggler_speculation_rescues_hang(self, seq_digest, monkeypatch):
         """With a long task_timeout the speculative duplicate wins."""
         digest, stats = _digest(
             "dist", fault="hang:0:1", monkeypatch=monkeypatch,
@@ -318,15 +400,15 @@ class TestFaultBitIdentity:
                 straggler_factor=2.0,
             ),
         )
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["stragglers"] >= 1
 
-    def test_initializer_failure(self, pool_digest, monkeypatch):
+    def test_initializer_failure(self, seq_digest, monkeypatch):
         """A poisoned worker is replaced; the survivors finish the map."""
         digest, stats = _digest(
             "dist", fault="initfail:0", monkeypatch=monkeypatch
         )
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["worker_restarts"] >= 1
 
     def test_scheduler_section_reaches_report(self):
@@ -408,15 +490,3 @@ class TestLedgerScheduler:
         rendered = run_ledger.render_entry(entry)
         assert "dist scheduler:" in rendered
         assert "retries" in rendered
-
-
-# -- legacy pool scheduling ---------------------------------------------------
-
-
-class TestLeafSolvePoolOrdering:
-    def test_largest_first_preserves_input_order(self):
-        problems = [StubProblem(v, cost_hint=v) for v in range(6)]
-        with LeafSolvePool(2, StubSolver()) as pool:
-            results = pool.map(problems)
-        assert results is not None
-        assert [r for (r, _i), _t in results] == [v * 2 for v in range(6)]

@@ -4,22 +4,26 @@ The serving layer keeps one :class:`~repro.core.engine.CPLAEngine` resident
 per problem signature and reruns it for every request, so the engine's
 reuse contract is load-bearing:
 
-- a rewound rerun on a warm engine (live pool, populated ADMM warm-start
-  and Elmore caches) must produce the **bit-identical** assignment a fresh
-  engine would;
-- a failing worker initializer must downgrade the pool to the sequential
-  fallback — counted in ``engine.pool_failures`` — without changing the
-  result (the fallback solves the identically-extracted Jacobi problems);
-- pools and engines are context managers with idempotent ``close``, and
-  leaked pools are reaped by the module's ``atexit`` guard.
+- a rewound rerun on a warm engine (live worker pool, populated ADMM
+  warm-start and Elmore caches) must produce the **bit-identical**
+  assignment a fresh engine would;
+- a failing worker initializer must downgrade the pool (the dist fabric's
+  workers) to the in-process fallback — counted in
+  ``engine.pool_failures`` — without changing the result (the fallback
+  solves the identically-extracted Jacobi problems);
+- fabrics and engines are context managers with idempotent ``close``, and
+  leaked fabrics are reaped by the module's ``atexit`` guard.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
-import repro.core.engine as engine_mod
-from repro.core.engine import CPLAEngine, LeafSolvePool
+import repro.dist.fabric as fabric_mod
+from repro.core.engine import CPLAEngine
+from repro.dist.fabric import DistFabric, DistFabricConfig
 from repro.ispd.request import assignment_digest
 from repro.ispd.synthetic import generate
 from repro.obs import metrics
@@ -51,15 +55,13 @@ class TestPoolFailureFallback:
         different — also valid — algorithm).
         """
         metrics.enable()
-
-        def poisoned_initializer(*_args):
-            raise RuntimeError("injected initializer failure")
-
-        monkeypatch.setattr(
-            engine_mod, "_pool_initializer", poisoned_initializer
-        )
+        monkeypatch.setenv("REPRO_DIST_FAULT", "initfail:0,initfail:1")
         broken_bench = _fresh_bench()
-        with CPLAEngine(broken_bench, fast_cpla(workers=2)) as engine:
+        config = fast_cpla(
+            workers=2,
+            dist=DistFabricConfig(max_worker_restarts=0, worker_wait_timeout=5.0),
+        )
+        with CPLAEngine(broken_bench, config) as engine:
             report = engine.run()
         broken_digest = assignment_digest(broken_bench)
 
@@ -105,54 +107,74 @@ class TestEngineReuse:
         assert assignment_digest(fresh_bench) == first_digest
 
     def test_pool_survives_between_runs(self):
-        """run() must no longer tear the pool down; close() must."""
+        """run() must not tear the workers down; close() must."""
         bench = _fresh_bench()
         engine = CPLAEngine(bench, fast_cpla(workers=2))
         baseline = engine.snapshot_layers()
         engine.run()
-        assert engine._pool is not None
-        assert engine._pool._pool is not None  # executor still alive
+        fabric = engine._backend
+        assert isinstance(fabric, DistFabric)
+        processes = [w.process for w in fabric._workers.values()]
+        assert len(processes) == 2
+        assert all(p.is_alive() for p in processes)
 
         engine.restore_layers(baseline)
-        engine.run()  # reuses the same pool rather than respawning
+        engine.run()  # reuses the same workers rather than respawning
+        assert engine._backend is fabric
+        assert [w.process for w in fabric._workers.values()] == processes
 
         engine.close()
-        assert engine._pool is None
+        assert engine._backend is None
+        assert not any(p.is_alive() for p in processes)
         engine.close()  # idempotent
 
 
-class _RecordingExecutor:
-    def __init__(self):
-        self.shutdowns = 0
+@dataclass(frozen=True)
+class _Problem:
+    value: int
+    num_vars: int = 1
 
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shutdowns += 1
+
+class _DoublingSolver:
+    def solve(self, problem):
+        return problem.value * 2, "info"
+
+
+def _started_fabric(workers=2):
+    fabric = DistFabric(workers, _DoublingSolver())
+    assert fabric.solve_many([_Problem(1)])[0][0] == 2
+    return fabric, [w.process for w in fabric._workers.values()]
+
+
+class _RecordingBackend:
+    def __init__(self):
+        self.closes = 0
+
+    def close(self):
+        self.closes += 1
 
 
 class TestPoolLifecycle:
     def test_pool_context_manager_and_idempotent_close(self):
-        with LeafSolvePool(2, solver=None) as pool:
-            executor = _RecordingExecutor()
-            pool._pool = executor
-        assert executor.shutdowns == 1
-        assert pool._pool is None
-        pool.close()
-        assert executor.shutdowns == 1  # close after close is a no-op
+        fabric, processes = _started_fabric()
+        with fabric:
+            assert all(p.is_alive() for p in processes)
+        assert not any(p.is_alive() for p in processes)
+        assert not fabric._workers
+        fabric.close()  # close after close is a no-op
+        assert not fabric._workers
 
     def test_atexit_guard_reaps_leaked_pools(self):
-        pool = LeafSolvePool(2, solver=None)
-        assert pool in engine_mod._LIVE_POOLS
-        executor = _RecordingExecutor()
-        pool._pool = executor
-        engine_mod._close_leaked_pools()
-        assert executor.shutdowns == 1
-        assert pool._pool is None
+        fabric, processes = _started_fabric(workers=1)
+        assert fabric in fabric_mod._LIVE_FABRICS
+        fabric_mod._close_leaked_fabrics()
+        assert not any(p.is_alive() for p in processes)
+        assert not fabric._workers
 
     def test_engine_context_manager_closes_pool(self):
         bench = _fresh_bench()
+        backend = _RecordingBackend()
         with CPLAEngine(bench, fast_cpla(workers=2)) as engine:
-            engine._pool = LeafSolvePool(2, solver=None)
-            executor = _RecordingExecutor()
-            engine._pool._pool = executor
-        assert engine._pool is None
-        assert executor.shutdowns == 1
+            engine._backend = backend
+        assert engine._backend is None
+        assert backend.closes == 1

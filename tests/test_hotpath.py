@@ -10,18 +10,23 @@ Covers the perf-overhaul invariants:
 - warm-started partition solves match cold-start objectives;
 - the cached dense ``(A, b)`` of ``SDPProblem.constraint_matrix`` is
   invalidated by new rows;
-- a failing leaf-solve pool downgrades to sequential solving instead of
-  crashing the run, and counts the failure.
+- a failing leaf-solve pool (``--exec pool``: the dist fabric's local
+  workers) downgrades to in-process solving instead of crashing the run,
+  and counts the failure.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
-from repro.core.engine import CPLAEngine, LeafSolvePool
+from repro.core.engine import CPLAEngine
 from repro.core.problem import PairTerm, PartitionProblem, SegmentVar
 from repro.core.sdp_relaxation import SdpPartitionSolver, SdpRelaxationConfig
+from repro.dist.fabric import DistFabric
 from repro.ispd.synthetic import generate
 from repro.obs import metrics
 from repro.pipeline import prepare
@@ -240,45 +245,65 @@ class TestPartitionWarmStart:
         assert not solver._warm
 
 
+@dataclass(frozen=True)
+class _Problem:
+    value: int
+    num_vars: int = 1
+
+
+@dataclass(frozen=True)
+class _UnpicklableProblem(_Problem):
+    hook: Callable = lambda: None  # lambdas cannot pickle
+
+
+class _DoublingSolver:
+    def solve(self, problem):
+        return problem.value * 2, "info"
+
+
 class TestLeafSolvePool:
+    """``--exec pool`` with ``workers > 1``: the dist fabric's workers."""
+
     def test_unpicklable_task_downgrades_pool(self):
         metrics.enable()
-        pool = LeafSolvePool(2, solver=None)
-        try:
-            result = pool.map([lambda: None])  # lambdas cannot pickle
-            assert result is None
+        with DistFabric(2, _DoublingSolver()) as pool:
+            result = pool.solve_many([_UnpicklableProblem(1)])
+            # Solved in-process instead.
+            assert [entry[0] for entry in result] == [2]
             counters = metrics.registry().as_dict()["counters"]
             assert counters["engine.pool_failures"] == 1
             # The downgrade is permanent: no further pool attempts.
-            assert pool.map([object()]) is None
-        finally:
-            pool.shutdown()
+            assert pool.solve_many([_Problem(2)])[0][0] == 4
+            assert not pool._workers
+            counters = metrics.registry().as_dict()["counters"]
+            assert counters["engine.pool_failures"] == 1
 
     def test_empty_submission_short_circuits(self):
-        pool = LeafSolvePool(2, solver=None)
-        try:
-            assert pool.map([]) == []
-            assert pool._pool is None  # no executor spawned for nothing
-        finally:
-            pool.shutdown()
+        with DistFabric(2, solver=None) as pool:
+            assert pool.solve_many([]) == []
+            assert not pool._workers  # no worker spawned for nothing
 
     def test_engine_survives_pool_failure(self, monkeypatch):
-        monkeypatch.setattr(
-            LeafSolvePool, "map", lambda self, problems, leaf_mask=None: None
-        )
+        def broken(self):
+            raise RuntimeError("injected fabric failure")
+
+        monkeypatch.setattr(DistFabric, "_ensure_started", broken)
         bench = prepare(generate(tiny_spec()))
-        report = CPLAEngine(bench, fast_cpla(workers=2)).run()
+        with CPLAEngine(bench, fast_cpla(workers=2)) as engine:
+            report = engine.run()
         assert report.final_avg_tcp <= report.initial_avg_tcp
+        assert report.scheduler["failures"] == 1
 
     def test_pool_created_once_per_run(self, monkeypatch):
         created = []
-        orig = LeafSolvePool.__init__
+        orig = DistFabric.__init__
 
-        def counting_init(self, workers, solver):
+        def counting_init(self, workers, solver, config=None):
             created.append(workers)
-            orig(self, workers, solver)
+            orig(self, workers, solver, config)
 
-        monkeypatch.setattr(LeafSolvePool, "__init__", counting_init)
+        monkeypatch.setattr(DistFabric, "__init__", counting_init)
         bench = prepare(generate(tiny_spec()))
-        CPLAEngine(bench, fast_cpla(workers=2, max_iterations=2)).run()
+        with CPLAEngine(bench, fast_cpla(workers=2, max_iterations=2)) as engine:
+            engine.run()
         assert created == [2]
