@@ -1,10 +1,11 @@
-"""Batched tensor SDP backend (``--exec batch``).
+"""Batched SDP backend (``--exec batch``).
 
-Vectorized consensus-ADMM over shape-bucketed partition stacks: leaf SDPs
-of the same shape are stacked into contiguous tensors and iterated in
-lockstep with batched eigendecompositions, batched affine projections, and
-batched box clipping — one Python-level iteration loop per bucket instead
-of one per problem.
+Vectorized consensus-ADMM over every leaf of an engine pass: each leaf SDP
+is split into its exact diagonal blocks, the leaves are laid end to end in
+one flat state, and they iterate in lockstep with one stacked
+eigendecomposition per block size, block-diagonal sparse affine
+projections, and one box clip — one Python-level iteration loop per pass
+instead of one per problem.
 
 The scalar :class:`~repro.solver.sdp.ADMMSDPSolver` routes through the
 same kernels at batch size 1, so the batched backend produces bit-identical
@@ -12,7 +13,6 @@ iterates (and therefore bit-identical assignment digests) by construction
 — there is no separate "fast path" numeric code to drift.
 """
 
-from repro.batchsolve.buckets import bucket_members
 from repro.batchsolve.kernels import (
     AdmmOptions,
     BatchStats,
@@ -40,7 +40,6 @@ __all__ = [
     "BatchStats",
     "MemberResult",
     "MemberSetup",
-    "bucket_members",
     "build_member",
     "run_admm",
 ]

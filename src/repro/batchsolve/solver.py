@@ -1,11 +1,13 @@
-"""The ``--exec batch`` leaf solver: bucket, stack, and solve in lockstep.
+"""The ``--exec batch`` leaf solver: one kernel call per engine pass.
 
 :class:`BatchLeafSolver` replaces the per-leaf Python solve loop of one
-engine iteration with a handful of kernel calls: every partition problem
-is lifted to its SDP and prepared into a kernel member exactly as the
-scalar path would (same construction code, same warm-start lookup), the
-members are grouped by shape (:mod:`repro.batchsolve.buckets`), and each
-bucket runs :func:`repro.batchsolve.kernels.run_admm` once.
+engine iteration with one kernel call: every partition problem is lifted
+to its SDP and prepared into a kernel member exactly as the scalar path
+would (same construction code, same warm-start lookup, same block split),
+and all members run through :func:`repro.batchsolve.kernels.run_admm`
+together.  Members are split across calls only when their projection
+cascades differ (a leaf without constraint rows has no affine set); CPLA
+leaves all share one.
 
 Contract parity with the other backends:
 
@@ -18,23 +20,21 @@ Contract parity with the other backends:
   weights — and therefore the sha256 assignment digests — are
   bit-identical to a pool or ``--exec seq`` solve of the same snapshot;
 - per-solve metrics and convergence records are emitted per member, with
-  bucket-level :class:`~repro.obs.convergence.BucketRecord` entries and
+  per-call :class:`~repro.obs.convergence.BucketRecord` entries and
   ``batch.*`` counters layered on top.
 
-Per-member wall clock inside a bucket is not separable (the bucket
-iterates as one), so each member's reported ``solve_seconds`` is the
-bucket's wall clock apportioned by the member's share of iterations —
-documented in docs/OBSERVABILITY.md.
+Per-member wall clock inside a call is not separable (the members iterate
+as one), so each member's reported ``solve_seconds`` is the call's wall
+clock apportioned by the member's share of iterations — documented in
+docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batchsolve.buckets import DEFAULT_MAX_MEMBERS, bucket_members
 from repro.batchsolve.kernels import MemberSetup, run_admm
 from repro.core.problem import PartitionProblem
 from repro.core.sdp_relaxation import SdpPartitionSolver, SdpSolveInfo
@@ -49,7 +49,7 @@ LeafResult = Tuple[List[np.ndarray], SdpSolveInfo, float, None]
 
 
 class _Pending:
-    """One non-empty problem prepared for its bucket."""
+    """One non-empty problem prepared for the kernel."""
 
     __slots__ = ("problem", "sdp", "offsets", "mode", "signature", "member")
 
@@ -70,28 +70,23 @@ class BatchLeafSolver:
     scheduler channel, like the dist fabric does.
     """
 
-    def __init__(
-        self,
-        partition_solver: SdpPartitionSolver,
-        max_bucket_members: int = DEFAULT_MAX_MEMBERS,
-    ) -> None:
+    def __init__(self, partition_solver: SdpPartitionSolver) -> None:
         if not isinstance(partition_solver, SdpPartitionSolver):
             raise ValueError(
                 "the batch backend requires the SDP partition solver "
                 "(method='sdp'); the ILP solver has no batched kernels"
             )
         self._solver = partition_solver
-        self.max_bucket_members = max_bucket_members
-        # Potential member-iterations (members x lockstep span per bucket);
+        # Potential member-iterations (members x lockstep span per call);
         # the denominator of the cumulative frozen fraction.
         self._potential_iterations = 0
         self.stats: Dict[str, Any] = {
             "backend": "batch",
-            "bucket_solves": 0,       # kernel calls (chunked buckets)
-            "members": 0,             # problems solved through the kernels
-            "batched_iterations": 0,  # lockstep iterations across buckets
+            "bucket_solves": 0,       # kernel calls
+            "members": 0,             # problems solved through the kernel
+            "batched_iterations": 0,  # lockstep iterations across calls
             "member_iterations": 0,   # sum of per-member iterations
-            "max_bucket": 0,          # largest bucket stacked so far
+            "max_bucket": 0,          # most members in one call so far
             "frozen_fraction": 0.0,   # member-iterations saved by freezing
         }
 
@@ -114,14 +109,15 @@ class BatchLeafSolver:
         Returns one ``(x_values, info, seconds, None)`` per solved problem
         in input order; masked-out positions are ``None`` (the ECO path
         leaves clean leaves as unextracted placeholders).  ``seconds`` is
-        the member's iteration-weighted share of its bucket's wall clock
-        (the engine feeds it to the same leaf-latency histogram the other
-        backends fill).
+        the member's iteration-weighted share of its kernel call's wall
+        clock (the engine feeds it to the same leaf-latency histogram the
+        other backends fill).
         """
         solver = self._solver
         admm = solver.admm
         outputs: List[Optional[LeafResult]] = [None] * len(problems)
-        pending: List[Tuple[int, _Pending]] = []
+        # Projection cascade -> (index, prepared problem), first-seen order.
+        calls: Dict[Tuple[bool, bool], List[Tuple[int, _Pending]]] = {}
         for index in range(len(problems)) if leaf_mask is None else leaf_mask:
             problem = problems[index]
             if problem.num_vars == 0:
@@ -133,41 +129,26 @@ class BatchLeafSolver:
             signature = solver.warm_key(problem)
             warm = solver.lookup_warm(signature, sdp.n)
             member = admm.prepare_member(sdp, warm)
-            pending.append(
+            calls.setdefault(member.cascade, []).append(
                 (index, _Pending(problem, sdp, offsets, mode, signature, member))
             )
 
-        if not pending:
-            return outputs
-
-        chunks = bucket_members(
-            [(index, item.member) for index, item in pending],
-            self.max_bucket_members,
-        )
-        by_index = dict(pending)
         options = admm.admm_options()
         recording = convergence.is_enabled()
-        metrics.inc("batch.buckets", len(chunks))
-        for chunk in chunks:
-            indices = [index for index, _ in chunk]
-            members: List[MemberSetup] = [member for _, member in chunk]
-            order = members[0].n
-            # Constraint counts vary within a bucket (the kernel subgroups
-            # its affine projection); the records carry the largest.
-            max_constraints = max(m.num_constraints for m in members)
+        metrics.inc("batch.buckets", len(calls))
+        for pending in calls.values():
+            members: List[MemberSetup] = [item.member for _, item in pending]
             with tracer.span(
                 "solver.batch",
-                order=order,
-                constraints=max_constraints,
+                order=max(m.n for m in members),
                 members=len(members),
             ):
                 results, stats = run_admm(members, options, recording=recording)
-            self._note_bucket(order, max_constraints, stats, recording)
-            # Apportion the bucket's wall clock by iteration share; exact
-            # per-member timing does not exist inside a lockstep bucket.
+            self._note_call(stats, recording)
+            # Apportion the call's wall clock by iteration share; exact
+            # per-member timing does not exist inside a lockstep call.
             total_iters = max(stats.member_iterations, 1)
-            for index, member_result in zip(indices, results):
-                item = by_index[index]
+            for (index, item), member_result in zip(pending, results):
                 share = member_result.iterations / total_iters
                 outputs[index] = self._finish(
                     item,
@@ -204,7 +185,7 @@ class BatchLeafSolver:
             ))
         return x_values, info, solve_seconds, None
 
-    def _note_bucket(self, order, max_constraints, stats, recording: bool) -> None:
+    def _note_call(self, stats, recording: bool) -> None:
         s = self.stats
         s["bucket_solves"] += 1
         s["members"] += stats.members
@@ -222,14 +203,18 @@ class BatchLeafSolver:
         )
         if recording:
             convergence.record_bucket(convergence.BucketRecord(
-                matrix_order=order,
-                num_constraints=max_constraints,
                 members=stats.members,
+                max_order=stats.max_order,
+                size_groups=stats.size_groups,
+                max_block=stats.max_block,
                 iterations=stats.iterations,
                 member_iterations=stats.member_iterations,
                 converged=stats.converged,
                 frozen_fraction=round(stats.frozen_fraction, 4),
                 solve_seconds=round(stats.solve_seconds, 6),
+                psd_seconds=round(stats.psd_seconds, 6),
+                affine_seconds=round(stats.affine_seconds, 6),
+                box_seconds=round(stats.box_seconds, 6),
             ))
 
     def _frozen_fraction(self) -> float:

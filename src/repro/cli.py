@@ -127,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="leaf-solve execution backend: 'pool' or 'dist' (the "
              "fault-tolerant work-stealing worker fabric; with --workers "
              "<= 1 both solve leaf by leaf in-process, Gauss-Seidel), "
-             "'batch' (in-process vectorized ADMM over shape-bucketed "
-             "stacks; sdp method only), or 'seq' (single-threaded "
+             "'batch' (in-process vectorized ADMM, one kernel call "
+             "per pass; sdp method only), or 'seq' (single-threaded "
              "reference); seq, batch, and pool/dist with --workers >= 2 "
              "produce bit-identical assignments",
     )

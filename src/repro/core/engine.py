@@ -117,8 +117,9 @@ class CPLAConfig:
     #   retry — see repro.dist; "pool" is kept as a name for it); with
     #   workers <= 1, the Gauss-Seidel schedule, one leaf at a time
     #   in-process;
-    # - "batch": in-process vectorized ADMM over shape-bucketed stacks
-    #   (repro.batchsolve; sdp method only, --workers is meaningless);
+    # - "batch": in-process vectorized ADMM, one kernel call over every
+    #   leaf of a pass (repro.batchsolve; sdp method only, --workers is
+    #   meaningless);
     # - "seq": in-process one-at-a-time solves of the same common snapshot
     #   (the single-threaded reference of the family).
     # seq, batch, and pool/dist with workers > 1 are Jacobi solves from a
@@ -126,8 +127,6 @@ class CPLAConfig:
     # Gauss-Seidel schedule legitimately differs — boundary layers update
     # leaf by leaf.
     exec_backend: str = "pool"
-    # Batched backend: cap on members stacked per kernel call (memory).
-    batch_max_members: int = 64
     dist: Optional[DistFabricConfig] = None
     sdp: SdpRelaxationConfig = field(default_factory=SdpRelaxationConfig)
     ilp: IlpConfig = field(default_factory=IlpConfig)
@@ -148,8 +147,6 @@ class CPLAConfig:
                 "exec_backend 'batch' requires method 'sdp' "
                 "(the ILP solver has no batched kernels)"
             )
-        if self.batch_max_members < 1:
-            raise ValueError("batch_max_members must be >= 1")
 
 
 # The report type is shared with the TILA baseline so the evaluation
@@ -611,9 +608,7 @@ class CPLAEngine:
         if self._backend is None:
             cfg = self.config
             if cfg.exec_backend == "batch":
-                self._backend = BatchLeafSolver(
-                    self._solver, cfg.batch_max_members
-                )
+                self._backend = BatchLeafSolver(self._solver)
             elif cfg.exec_backend in ("pool", "dist") and cfg.workers > 1:
                 self._backend = DistFabric(cfg.workers, self._solver, cfg.dist)
             else:

@@ -13,6 +13,7 @@ are dense reference implementations.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Tuple
 
@@ -26,9 +27,15 @@ def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
 def svec_indices(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the packed upper triangle, in svec order."""
+    """Row/column indices of the packed upper triangle, in svec order.
+
+    Cached per order; the arrays are read-only.
+    """
     rows, cols = np.triu_indices(n)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
     return rows, cols
 
 

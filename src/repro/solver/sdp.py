@@ -8,10 +8,11 @@ Solves the standard-form SDP the CPLA relaxation produces::
                 X  is PSD
 
 by operator splitting over three simple sets — the affine subspace, the box,
-and the PSD cone — each of which has a cheap exact projection (sparse-free
-dense linear solve, clipping, and one eigendecomposition respectively).
-Consensus ADMM (Boyd et al. 2011, §7.2) alternates the projections until the
-copies agree.
+and the PSD cone — each of which has a cheap exact projection (a sparse
+correction through a precomputed Gram inverse, clipping, and one
+eigendecomposition per diagonal block the matrix splits into, see
+:mod:`repro.batchsolve.kernels`).  Consensus ADMM (Boyd et al. 2011, §7.2)
+alternates the projections until the copies agree.
 
 Partition problems in this repo produce matrices of order n ≈ 20–150 with a
 few hundred constraints, where this solver converges in a few hundred
@@ -77,7 +78,8 @@ class SDPProblem:
 
     ``add_entry_constraint`` is the workhorse: it expresses
     ``sum(coeff * X[i, j]) == value`` without materializing a dense A_k —
-    CPLA's assignment/capacity rows touch only a handful of entries each.
+    CPLA's assignment/capacity rows touch only a handful of entries each,
+    and :meth:`constraint_rows` hands them to the solver sparse.
     """
 
     n: int
@@ -97,8 +99,8 @@ class SDPProblem:
             raise ValueError(f"cost must be {self.n}x{self.n}")
         if not np.allclose(self.cost, self.cost.T, atol=1e-12):
             raise ValueError("cost matrix must be symmetric")
-        # Dense (A, b) cache — the affine projection and every violation()
-        # call want the same assembled view; rebuilt only after new rows.
+        # Sparse and dense (A, b) caches, rebuilt only after new rows.
+        self._sparse: Optional[Tuple[Tuple[np.ndarray, ...], np.ndarray]] = None
         self._dense: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- constraint construction -----------------------------------------
@@ -113,7 +115,7 @@ class SDPProblem:
         row = {int(i): float(v) for i, v in enumerate(row_vec) if v != 0.0}
         self._rows.append(row)
         self._values.append(float(value))
-        self._dense = None
+        self._sparse = self._dense = None
 
     def add_entry_constraint(
         self, entries: Sequence[Tuple[int, int]], coefficients: Sequence[float], value: float
@@ -133,7 +135,7 @@ class SDPProblem:
             row[idx] = row.get(idx, 0.0) + float(coeff) * scale
         self._rows.append(row)
         self._values.append(float(value))
-        self._dense = None
+        self._sparse = self._dense = None
 
     def set_box(self, lower: float, upper: float) -> None:
         """Bound every matrix entry elementwise (CPLA uses [0, 1])."""
@@ -149,23 +151,47 @@ class SDPProblem:
 
     # -- assembled views -----------------------------------------------------
 
+    def constraint_rows(
+        self,
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        """Sparse ``((row, svec index, coefficient), b)`` in COO form.
+
+        Entries are row-major, each row in ascending svec index; cached
+        until rows change.
+        """
+        if self._sparse is None:
+            keys = [sorted(row) for row in self._rows]
+            counts = [len(k) for k in keys]
+            total = sum(counts)
+            rows = np.repeat(np.arange(len(keys), dtype=np.intp), counts)
+            cols = np.fromiter(
+                (idx for k in keys for idx in k), dtype=np.intp, count=total
+            )
+            data = np.fromiter(
+                (row[idx] for row, k in zip(self._rows, keys) for idx in k),
+                dtype=np.float64, count=total,
+            )
+            self._sparse = (
+                (rows, cols, data), np.asarray(self._values, dtype=np.float64)
+            )
+        return self._sparse
+
     def constraint_matrix(self) -> Tuple[np.ndarray, np.ndarray]:
         """Dense (A, b) in svec coordinates (cached until rows change)."""
         if self._dense is None:
-            d = svec_dim(self.n)
-            A = np.zeros((len(self._rows), d))
-            for k, row in enumerate(self._rows):
-                for idx, coeff in row.items():
-                    A[k, idx] = coeff
-            self._dense = (A, np.asarray(self._values, dtype=np.float64))
+            (rows, cols, data), b = self.constraint_rows()
+            A = np.zeros((len(b), svec_dim(self.n)))
+            A[rows, cols] = data
+            self._dense = (A, b)
         return self._dense
 
     def violation(self, X: np.ndarray) -> float:
         """Max absolute equality-constraint violation at ``X``."""
         if not self._rows:
             return 0.0
-        A, b = self.constraint_matrix()
-        return float(np.abs(A @ svec(X) - b).max()) if len(b) else 0.0
+        (rows, cols, data), b = self.constraint_rows()
+        lhs = np.bincount(rows, weights=data * svec(X)[cols], minlength=len(b))
+        return float(np.abs(lhs - b).max())
 
 
 class ADMMSDPSolver:
@@ -173,9 +199,10 @@ class ADMMSDPSolver:
 
     The numerical loop lives in :func:`repro.batchsolve.kernels.run_admm`;
     this class is its batch-size-1 front end.  That sharing is the batched
-    backend's correctness story: ``--exec batch`` stacks the very same
-    members and runs the very same kernel, so scalar and batched solves
-    are bit-identical by construction.  The solver is stateless.
+    backend's correctness story: ``--exec batch`` lays the very same
+    members end to end and runs the very same kernel, so scalar and
+    batched solves are bit-identical by construction.  The solver is
+    stateless.
     """
 
     def __init__(self, settings: Optional[SDPSettings] = None) -> None:
@@ -198,15 +225,16 @@ class ADMMSDPSolver:
     ) -> MemberSetup:
         """Build the kernel member for one problem (shared with ``batch``).
 
-        Normalizing the cost keeps rho meaningful across instances; the
-        box bounds get the svec sqrt(2) off-diagonal scaling with
-        infinities kept infinite.
+        The kernel splits it into its exact blocks and normalizes the cost
+        (which keeps rho meaningful across instances); the box bounds get
+        the svec sqrt(2) off-diagonal scaling with infinities kept
+        infinite.
         """
         n = problem.n
         c = svec(problem.cost)
         A = b = None
         if problem.num_constraints:
-            A, b = problem.constraint_matrix()
+            A, b = problem.constraint_rows()
         lower = upper = None
         if problem.box_lower is not None and problem.box_upper is not None:
             lower = np.nan_to_num(svec(problem.box_lower), neginf=-np.inf)
@@ -222,7 +250,8 @@ class ADMMSDPSolver:
     ) -> SDPResult:
         """Turn one kernel member result into an :class:`SDPResult`.
 
-        Reports the PSD consensus copy (exactly feasible for the cone).
+        Reports the PSD consensus copy (exactly feasible for the cone; its
+        cross-block entries are exactly 0).
         """
         X = smat(member_result.z_psd, problem.n)
         objective = float(np.tensordot(problem.cost, X))

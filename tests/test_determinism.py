@@ -64,10 +64,10 @@ class TestDeterminism:
     def test_exec_backend_family_bit_identical(self):
         """seq, batch, pool, and dist are one digest family.
 
-        The batched backend stacks mixed-shape leaves into shape buckets
-        (the tiny benchmark produces several distinct matrix orders per
-        iteration), so this also exercises bucketing + lockstep freezing
-        end to end.
+        The batched backend lays leaves of mixed orders and block
+        structures end to end in one kernel call (the tiny benchmark
+        produces several distinct matrix orders per iteration), so this
+        also exercises the ragged state + lockstep freezing end to end.
         """
         cfg = dict(
             method="sdp",
