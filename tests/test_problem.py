@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.problem import extract_partition_problem
+from repro.core.problem import _via_capacity_penalty, extract_partition_problem
 from repro.grid.graph import GridGraph, manhattan_path_edges
 from repro.route.net import Net, Pin
 from repro.route.tree import build_topology
@@ -87,6 +87,31 @@ class TestExtraction:
             grid, engine, {0: net}, timings, keys, weights={(0, 0): 2.0}
         )
         assert np.allclose(weighted.vars[0].cost, 2.0 * plain.vars[0].cost)
+
+    def test_via_capacity_ratio_read_once_per_tile_and_cut(self, monkeypatch):
+        """Extraction reads each (tile, cut) via capacity once, and the
+        memoized penalty equals the direct sum of used / capacity."""
+        grid, engine, net, timings = build_setup()
+        grid.add_via_stack((3, 0), 1, 4, count=3)
+        calls = []
+        original = grid.via_capacity
+
+        def counting(tile, cut):
+            calls.append((tile, cut))
+            return original(tile, cut)
+
+        monkeypatch.setattr(grid, "via_capacity", counting)
+        keys = [(0, s.id) for s in net.topology.segments]
+        extract_partition_problem(grid, engine, {0: net}, timings, keys)
+        assert calls
+        assert len(calls) == len(set(calls))
+        penalty = _via_capacity_penalty(grid, 2.0)
+        direct = 2.0 * sum(
+            grid.via_usage_at((3, 0), cut) / max(original((3, 0), cut), 1)
+            for cut in (1, 2, 3)
+        )
+        assert penalty((3, 0), 4, 1) == direct > 0.0
+        assert penalty((3, 0), 1, 4) == direct  # served from the memo
 
     def test_assignment_cost_evaluates(self):
         grid, engine, net, timings = build_setup()
