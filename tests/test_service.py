@@ -431,10 +431,11 @@ class TestServerEndToEnd:
 
     def test_queued_deadline_expires_as_504(self, server):
         async def main():
-            # A fresh signature forces an engine build (~seconds), behind
-            # which the tiny-deadline job must time out while queued.
+            # A fresh signature forces an engine build, behind which the
+            # tiny-deadline job must time out while queued; the larger
+            # design keeps that build at seconds however fast the solver.
             slow = asyncio.create_task(
-                _post_assign(server, {**BODY, "ratio_percent": 3})
+                _post_assign(server, {**BODY, "ratio_percent": 3, "scale": 0.3})
             )
             await asyncio.sleep(0.3)
             status, body = await _post_assign(
@@ -452,10 +453,13 @@ class TestServerEndToEnd:
 class TestBackpressureAndDrain:
     def test_full_queue_answers_429(self):
         async def main():
-            # While the first request holds the engine (cold build takes
-            # ~seconds) the depth-1 queue fits exactly one more job; the
-            # third must be rejected with a Retry-After estimate.
-            first = asyncio.create_task(_post_assign(server, dict(BODY)))
+            # While the first request holds the engine (the cold build of
+            # a larger design takes seconds however fast the solver) the
+            # depth-1 queue fits exactly one more job; the third must be
+            # rejected with a Retry-After estimate.
+            first = asyncio.create_task(
+                _post_assign(server, {**BODY, "scale": 0.3})
+            )
             await asyncio.sleep(0.5)
             second = asyncio.create_task(_post_assign(server, dict(BODY)))
             await asyncio.sleep(0.1)
