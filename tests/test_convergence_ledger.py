@@ -158,6 +158,26 @@ class TestSummarize:
         assert "NO" in text  # the non-converged leaf is called out
 
 
+    def test_summary_text_renders_kernel_calls_old_and_new(self):
+        """Kernel calls render their per-projection split; summaries
+        stored before the split existed render without it."""
+        record = dict(
+            members=3, max_order=12, size_groups=2, max_block=6,
+            iterations=40, member_iterations=100, converged=3,
+            frozen_fraction=0.1667, solve_seconds=0.5, psd_seconds=0.3,
+            affine_seconds=0.05, box_seconds=0.01,
+        )
+        summary = convergence.summarize({"buckets": [record]})
+        assert summary["buckets"]["psd_seconds"] == 0.3
+        text = convergence.summary_text(summary)
+        assert "largest PSD block 6: PSD 0.300s, affine 0.050s" in text
+        old = {key: value for key, value in summary["buckets"].items()
+               if key not in ("max_block", "psd_seconds", "affine_seconds",
+                              "box_seconds")}
+        text = convergence.summary_text({"buckets": old})
+        assert "batch buckets: 1 kernel calls over 3 members" in text
+        assert "PSD" not in text
+
 class TestEngineIntegration:
     def test_sequential_run_attributes_partitions(self):
         convergence.enable()
