@@ -258,6 +258,36 @@ class GridGraph:
             caps.append(int(area // self.stack.via_pitch_sq))
         return min(caps)
 
+    def via_capacity_map(self) -> np.ndarray:
+        """:meth:`via_capacity` of every tile and cut at once.
+
+        Returns an ``(nx, ny, L - 1)`` int64 array whose ``[x, y, cut - 1]``
+        element equals ``via_capacity((x, y), cut)``, computed in the same
+        float order.
+        """
+        stack = self.stack
+        per_layer = []
+        for layer in stack:
+            free = np.maximum(self._cap[layer.index] - self._usage[layer.index], 0)
+            tracks = np.zeros((self.nx_tiles, self.ny_tiles), dtype=np.int64)
+            # A tile touches the edge before it and the edge after it.
+            if layer.direction is Direction.HORIZONTAL:
+                tracks[1:, :] += free
+                tracks[:-1, :] += free
+            else:
+                tracks[:, 1:] += free
+                tracks[:, :-1] += free
+            area = layer.pitch * stack.tile_width * tracks
+            per_layer.append((area // stack.via_pitch_sq).astype(np.int64))
+        caps = np.stack(per_layer, axis=-1)
+        return np.minimum(caps[..., :-1], caps[..., 1:])
+
+    def via_usage_ratios(self) -> np.ndarray:
+        """``used / max(capacity, 1)`` of every tile and cut, shaped like
+        :meth:`via_capacity_map`: the per-cut term of the SDP's
+        via-capacity penalty."""
+        return self._via_usage / np.maximum(self.via_capacity_map(), 1)
+
     # -- overflow metrics ----------------------------------------------------
 
     def total_wire_overflow(self) -> int:
@@ -271,16 +301,8 @@ class GridGraph:
     def total_via_overflow(self) -> int:
         """``OV#`` of Table 2: via usage beyond Eqn. (1) capacity, summed
         over every tile and cut."""
-        total = 0
-        for (x, y) in self.iter_tiles():
-            for cut in range(1, self.stack.num_layers):
-                used = self.via_usage_at((x, y), cut)
-                if used == 0:
-                    continue
-                cap = self.via_capacity((x, y), cut)
-                if used > cap:
-                    total += used - cap
-        return total
+        over = self._via_usage - self.via_capacity_map()
+        return int(np.maximum(over, 0).sum())
 
     def total_vias(self) -> int:
         """Total via cuts in use (the ``via#`` column of Table 2)."""

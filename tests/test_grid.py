@@ -11,7 +11,7 @@ from repro.grid.graph import (
     edge_endpoints,
     manhattan_path_edges,
 )
-from repro.grid.layers import Direction
+from repro.grid.layers import Direction, uniform_stack
 
 from tests.conftest import make_stack
 
@@ -179,3 +179,94 @@ def test_usage_never_negative_and_consistent(ops):
         grid.remove_wire(edge, layer)
     assert grid.total_wirelength() == 0
     assert grid.total_wire_overflow() == 0
+
+
+def _loop_via_overflow(grid):
+    """OV# as the per-tile loop over :meth:`GridGraph.via_capacity`."""
+    total = 0
+    for tile in grid.iter_tiles():
+        for cut in range(1, grid.stack.num_layers):
+            used = grid.via_usage_at(tile, cut)
+            if used:
+                total += max(used - grid.via_capacity(tile, cut), 0)
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(1, 7),
+    ny=st.integers(1, 7),
+    num_layers=st.integers(2, 6),
+    widths=st.lists(st.floats(0.3, 3.0), min_size=6, max_size=6),
+    via_width=st.floats(0.2, 2.0),
+    tile_width=st.floats(3.0, 40.0),
+    data=st.data(),
+)
+def test_via_capacity_map_matches_scalar(
+    nx, ny, num_layers, widths, via_width, tile_width, data
+):
+    """The vectorized Eqn. (1) map equals the scalar method at every tile
+    and cut, border tiles and overflowed edges included, and OV# equals
+    the per-tile loop."""
+    stack = uniform_stack(
+        num_layers,
+        unit_resistance=[1.0] * num_layers,
+        unit_capacitance=[1.0] * num_layers,
+        via_resistance=[1.0] * (num_layers - 1),
+        capacity=[8.0] * num_layers,
+        min_width=widths[:num_layers],
+        min_spacing=widths[::-1][:num_layers],
+        via_width=via_width,
+        via_spacing=via_width / 3,
+        tile_width=tile_width,
+    )
+    grid = GridGraph(nx, ny, stack)
+    for layer in stack:
+        orient = "H" if layer.direction is Direction.HORIZONTAL else "V"
+        for edge in grid.iter_edges(orient):
+            grid.set_capacity(edge, layer.index, data.draw(st.integers(0, 6)))
+            grid.add_wire(edge, layer.index, data.draw(st.integers(0, 9)))
+    for tile in grid.iter_tiles():
+        lower = data.draw(st.integers(1, num_layers))
+        upper = data.draw(st.integers(1, num_layers))
+        grid.add_via_stack(tile, lower, upper, count=data.draw(st.integers(0, 60)))
+
+    cap_map = grid.via_capacity_map()
+    assert cap_map.shape == (nx, ny, num_layers - 1)
+    for x, y in grid.iter_tiles():
+        for cut in range(1, num_layers):
+            assert cap_map[x, y, cut - 1] == grid.via_capacity((x, y), cut)
+    assert grid.total_via_overflow() == _loop_via_overflow(grid)
+    ratios = grid.via_usage_ratios()
+    for x, y in grid.iter_tiles():
+        for cut in range(1, num_layers):
+            used = grid.via_usage_at((x, y), cut)
+            cap = max(grid.via_capacity((x, y), cut), 1)
+            assert ratios[x, y, cut - 1] == used / cap
+
+
+def test_via_capacity_map_keeps_the_scalar_float_order():
+    """Pitch 0.8 and tile width 3.0: (0.8 * 3.0) * 5 tracks is 12.0, but
+    0.8 * (3.0 * 5) is just below it and floors one via lower."""
+    stack = uniform_stack(
+        2,
+        unit_resistance=[1.0, 1.0],
+        unit_capacitance=[1.0, 1.0],
+        via_resistance=[1.0],
+        capacity=[8.0, 8.0],
+        min_width=[0.1, 0.1],
+        min_spacing=[0.7, 0.7],
+        via_width=0.1,
+        via_spacing=0.1 / 3,
+        tile_width=3.0,
+    )
+    grid = GridGraph(8, 2, stack)
+    for x in range(7):
+        for y in range(2):
+            grid.set_capacity(("H", x, y), 1, x)  # interior tile x: 2x - 1 free
+    for x in range(8):
+        grid.set_capacity(("V", x, 0), 2, 40)
+    cap_map = grid.via_capacity_map()
+    assert cap_map[3, 0, 0] == 675
+    for tile in grid.iter_tiles():
+        assert cap_map[tile[0], tile[1], 0] == grid.via_capacity(tile, 1)
