@@ -15,9 +15,9 @@ that turns N shards into one service:
   (signature -> sha256 assignment digest + payload, bounded LRU,
   epoch-invalidated by ``/v1/eco``): idempotent repeats never touch a
   solver;
-- :mod:`repro.fleet.replica` — warm-state replication over the dist
+- :mod:`repro.fleet.replica` — state replication over the dist
   protocol's authenticated framing, so failover resumes from the dead
-  shard's post-prepare checkpoint + ADMM warm store instead of cold.
+  shard's post-prepare checkpoint and ECO epochs instead of cold.
 
 Bit-identity is the tier's invariant: a gateway-served digest equals the
 single-node ``repro serve`` digest for every request — cache hits and

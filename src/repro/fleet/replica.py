@@ -1,9 +1,8 @@
-"""Warm-state replication: shards stream solver state to their successor.
+"""Replication: shards stream their committed state to their successor.
 
-A shard failover that lands on a cold successor pays the full cold-start
-bill (ADMM from scratch); the ROADMAP's fleet item asks for failover
-that *resumes warm*.  After every full solve — and after every applied
-ECO delta — the owning shard captures a :class:`ReplicaState` and pushes
+A shard failover that lands on a successor without the owner's state
+would lose the owner's ECO epochs.  After every full solve — and after
+every applied ECO delta — the owning shard captures a :class:`ReplicaState` and pushes
 it to the ring successor of the problem signature over the dist
 protocol's authenticated length-prefixed framing
 (:mod:`repro.dist.protocol`, ``multiprocessing.connection`` transport,
@@ -15,16 +14,13 @@ One replica state carries:
   successor re-prepares the benchmark deterministically and *verifies*
   its local baseline against the shipped one — a cross-node determinism
   check that refuses to seed from divergent state;
-- the **ADMM warm store** (partition signature -> relaxed ``X``): warm
-  reruns are bit-identical to fresh runs (tests/test_engine_reuse.py),
-  so importing the owner's store changes latency, never the digest;
 - the **ECO history** (edit sets applied since the last full solve) and
   the resulting epoch: a failed-over ``/v1/eco`` client can keep
   chaining epochs, because the successor replays the history bit-exactly
   before applying the client's next delta.
 
-Push is synchronous on the solve path (the states are small — a few
-arrays per touched partition) and failure-tolerant: a dead or slow
+Push is synchronous on the solve path (the states are small — one
+layer per segment plus the edit sets) and failure-tolerant: a dead or slow
 successor costs one logged warning, never the request.
 """
 
@@ -53,7 +49,7 @@ Address = Tuple[str, int]
 
 @dataclass
 class ReplicaState:
-    """Everything a successor needs to resume a signature warm."""
+    """Everything a successor needs to resume a signature's epochs."""
 
     signature_key: str
     digest: str
@@ -61,9 +57,6 @@ class ReplicaState:
     runs: int
     # Post-prepare layer checkpoint: {(net_id, seg_id): layer}.
     baseline: Dict[Tuple[int, int], int]
-    # ADMM warm store (partition signature -> relaxed X), or None for
-    # methods without managed warm state.
-    warm_store: Optional[Dict[Tuple, Any]] = None
     # Edit sets (JSON form) applied since the last full solve, in order.
     history: List[List[Dict[str, Any]]] = field(default_factory=list)
 
@@ -153,9 +146,8 @@ class ReplicaReceiver(threading.Thread):
             self.store.put(state)
             metrics.inc("fleet.replica_received")
             log.info(
-                "replica received: %s (epoch %d, %d warm entries)",
+                "replica received: %s (epoch %d)",
                 state.signature_key, state.epoch,
-                len(state.warm_store or ()),
             )
             send_message(conn, {
                 "type": "replica_ack",
@@ -207,17 +199,12 @@ def capture_state(resident) -> ReplicaState:
     """
     from repro.ispd.request import assignment_digest
 
-    engine = getattr(resident, "_engine", None)
-    warm_store = None
-    if engine is not None and hasattr(engine, "export_warm_store"):
-        warm_store = engine.export_warm_store()
     return ReplicaState(
         signature_key=resident.key,
         digest=assignment_digest(resident.bench),
         epoch=resident.state_epoch,
         runs=resident.runs,
         baseline=dict(resident._baseline),
-        warm_store=warm_store,
         history=[list(h) for h in getattr(resident, "_history", ())],
     )
 

@@ -1,15 +1,14 @@
 """Serving layer: a resident async batch job server over the optimizers.
 
-The one-shot CLI pays process startup, routing, worker spawning, and cold
-ADMM starts on every invocation.  This package keeps all of that state
-**resident** and serves assignment requests over HTTP:
+The one-shot CLI pays process startup, routing and worker spawning on
+every invocation.  This package keeps that state **resident** and serves
+assignment requests over HTTP:
 
 - :mod:`repro.service.jobs` — bounded job queue with backpressure (429 +
   ``Retry-After``), per-job deadlines, and cancellation of expired work;
 - :mod:`repro.service.resident` — prepared benchmarks + warm engines
-  (Elmore fingerprint cache, ADMM warm-start ``X`` cache, leaf backend
-  with its worker processes) cached per problem signature in a
-  capacity-bounded LRU;
+  (Elmore fingerprint cache, leaf backend with its worker processes)
+  cached per problem signature in a capacity-bounded LRU;
 - :mod:`repro.service.batcher` — single-dispatcher batch scheduler that
   dedups same-signature jobs into one engine run and fans the result out;
 - :mod:`repro.service.server` — the asyncio HTTP front (``/v1/assign``,

@@ -265,7 +265,6 @@ def _state(key: str = "sig-x", epoch: int = 0) -> ReplicaState:
         epoch=epoch,
         runs=3,
         baseline={(1, 0): 2, (1, 1): 4},
-        warm_store={("a", "b"): [[1.0, 0.5], [0.5, 1.0]]},
         history=[[{"op": "release_nets", "worst": 2}]] if epoch else [],
     )
 
