@@ -26,7 +26,8 @@ def problem_for(nets, grid):
     timings = {n.id: engine.analyze(n) for n in nets}
     keys = [(n.id, s.id) for n in nets for s in n.topology.segments]
     return extract_partition_problem(
-        grid, engine, {n.id: n for n in nets}, timings, keys
+        grid, engine, {n.id: n for n in nets}, timings, keys,
+        grid.via_usage_ratios(),
     )
 
 

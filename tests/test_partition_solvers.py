@@ -41,7 +41,8 @@ def build_problem(num_nets=2, tracks=4, seed=0):
     timings = {n.id: engine.analyze(n) for n in nets}
     keys = [(n.id, s.id) for n in nets for s in n.topology.segments]
     problem = extract_partition_problem(
-        grid, engine, {n.id: n for n in nets}, timings, keys
+        grid, engine, {n.id: n for n in nets}, timings, keys,
+        grid.via_usage_ratios(),
     )
     return grid, problem
 
