@@ -26,7 +26,7 @@ leaves from a common snapshot (Jacobi).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.runreport import IterationStats, RunReport
 from repro.batchsolve.solver import BatchLeafSolver
@@ -37,9 +37,11 @@ from repro.core.mapping import CapacityLedger, post_map
 from repro.core.partition import self_adaptive_partition
 from repro.core.problem import SegKey, extract_partition_problem
 from repro.core.sdp_relaxation import SdpPartitionSolver, SdpRelaxationConfig
+from repro.grid.graph import Edge2D, GridSnapshot
 from repro.ispd.benchmark import Benchmark
 from repro.route.net import Net
 from repro.route.occupancy import commit_net, release_net
+from repro.route.tree import NetTopology
 from repro.timing.critical import (
     CriticalitySelector,
     critical_path_stats,
@@ -154,6 +156,24 @@ class CPLAConfig:
 CPLAReport = RunReport
 
 
+@dataclass(eq=False)
+class EngineCheckpoint:
+    """A state :meth:`CPLAEngine.restore_layers` returns the engine to.
+
+    It holds everything an engine pass or an ECO edit can change: per net
+    (in benchmark order) the 2-D route edges and the topology, which a
+    reroute replaces, the segment layers and the pin capacitances, which a
+    resize scales; the grid's capacities, which a capacity change edits,
+    and its usage; and the ADMM warm store the ECO passes start from.
+    Route edge lists and topologies are kept by reference: a reroute
+    replaces them rather than editing them.
+    """
+
+    nets: List[Tuple[List[Edge2D], NetTopology, Tuple[int, ...], Tuple[float, ...]]]
+    grid: GridSnapshot
+    warm: Dict[Tuple, Any]
+
+
 class CPLAEngine:
     """Runs critical-path layer assignment on a routed, assigned benchmark."""
 
@@ -231,23 +251,60 @@ class CPLAEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def snapshot_layers(self) -> Dict[SegKey, int]:
-        """Layer assignment of *every* net (not just the released set).
+    def snapshot_layers(self) -> EngineCheckpoint:
+        """Checkpoint the whole design state and the ADMM warm store.
 
-        Together with :meth:`restore_layers` this lets a caller checkpoint
-        the post-``prepare`` state and rewind to it between runs — the
-        resident serving layer rewinds the shared benchmark instead of
-        re-routing it for every request.
+        Together with :meth:`restore_layers` this lets a caller return the
+        shared benchmark to a known state instead of re-routing it: the
+        resident serving layer checkpoints its solved design and rewinds
+        ECO edits to it.
         """
-        return self._snapshot_layers(self.bench.nets)
+        warm = self._solver.warm_store() if hasattr(
+            self._solver, "warm_store"
+        ) else {}
+        return EngineCheckpoint(
+            nets=[
+                (
+                    net.route_edges,
+                    net.topology,
+                    tuple(seg.layer for seg in net.topology.segments),
+                    tuple(pin.capacitance for pin in net.pins),
+                )
+                for net in self.bench.nets
+            ],
+            grid=self.grid.snapshot(),
+            warm=warm,
+        )
 
-    def restore_layers(self, layers: Dict[SegKey, int]) -> None:
-        """Rewind every net to a :meth:`snapshot_layers` checkpoint.
+    def restore_layers(self, checkpoint: EngineCheckpoint) -> None:
+        """Rewind the design and the warm store to a checkpoint.
 
-        Grid occupancy is kept consistent by releasing and re-committing
-        each net, and the timing cache is invalidated for all of them.
+        Every net gets its checkpointed route, topology, layers and pin
+        capacitances back, and the grid its capacities and usage, copied
+        whole (no net is released or re-committed).  The timing cache
+        drops the nets whose topology or pin loads changed; its layer
+        fingerprints catch the rest.
         """
-        self._restore_layers(self.bench.nets, layers)
+        changed = []
+        for net, (edges, topo, layers, caps) in zip(
+            self.bench.nets, checkpoint.nets
+        ):
+            if net.topology is not topo:
+                changed.append(net.id)
+            net.route_edges = edges
+            net.topology = topo
+            for seg, layer in zip(topo.segments, layers):
+                seg.layer = layer
+            pins = net.pins
+            if any(pin.capacitance != cap for pin, cap in zip(pins, caps)):
+                changed.append(net.id)
+                for pin, cap in zip(pins, caps):
+                    # Pin is frozen; the ECO resize edits it the same way.
+                    object.__setattr__(pin, "capacitance", cap)
+        self.grid.restore(checkpoint.grid)
+        self.elmore.mark_dirty(changed)
+        if hasattr(self._solver, "load_warm_store"):
+            self._solver.load_warm_store(checkpoint.warm)
 
     def eco_iterate(
         self,

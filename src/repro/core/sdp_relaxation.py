@@ -139,6 +139,18 @@ class SdpPartitionSolver:
         """Empty the warm store, the state of a freshly built solver."""
         self._warm.clear()
 
+    def warm_store(self) -> Dict[Tuple, np.ndarray]:
+        """A copy of the warm store, for :meth:`load_warm_store`.
+
+        The copy is shallow: stored ``X`` arrays are replaced, never
+        written in place.
+        """
+        return dict(self._warm)
+
+    def load_warm_store(self, store: Dict[Tuple, np.ndarray]) -> None:
+        """Replace the warm store with a :meth:`warm_store` copy."""
+        self._warm = dict(store)
+
     @property
     def admm(self) -> ADMMSDPSolver:
         """The underlying ADMM solver (the batch backend shares it)."""

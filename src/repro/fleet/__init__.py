@@ -17,7 +17,8 @@ that turns N shards into one service:
   solver;
 - :mod:`repro.fleet.replica` — state replication over the dist
   protocol's authenticated framing, so failover resumes from the dead
-  shard's post-prepare checkpoint and ECO epochs instead of cold.
+  shard's ECO epochs (checked against its post-prepare digest) instead
+  of cold.
 
 Bit-identity is the tier's invariant: a gateway-served digest equals the
 single-node ``repro serve`` digest for every request — cache hits and

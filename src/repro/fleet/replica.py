@@ -1,26 +1,27 @@
 """Replication: shards stream their committed state to their successor.
 
 A shard failover that lands on a successor without the owner's state
-would lose the owner's ECO epochs.  After every full solve — and after
-every applied ECO delta — the owning shard captures a :class:`ReplicaState` and pushes
-it to the ring successor of the problem signature over the dist
+would lose the owner's ECO epochs.  Whenever a resident's epoch changes
+(its full solve, a rewind to the solved state, every applied ECO delta)
+the owning shard captures a :class:`ReplicaState` and pushes it to the
+ring successor of the problem signature over the dist
 protocol's authenticated length-prefixed framing
 (:mod:`repro.dist.protocol`, ``multiprocessing.connection`` transport,
 frame types ``replica``/``replica_ack``).
 
 One replica state carries:
 
-- the **post-prepare checkpoint** (the baseline layer snapshot): the
-  successor re-prepares the benchmark deterministically and *verifies*
-  its local baseline against the shipped one — a cross-node determinism
-  check that refuses to seed from divergent state;
-- the **ECO history** (edit sets applied since the last full solve) and
+- the **post-prepare digest** (the assignment digest of the prepared
+  design): the successor re-prepares the benchmark deterministically and
+  *verifies* its local digest against the shipped one — a cross-node
+  determinism check that refuses to seed from divergent state;
+- the **ECO history** (edit sets applied since the solved state) and
   the resulting epoch: a failed-over ``/v1/eco`` client can keep
   chaining epochs, because the successor replays the history bit-exactly
   before applying the client's next delta.
 
-Push is synchronous on the solve path (the states are small — one
-layer per segment plus the edit sets) and failure-tolerant: a dead or slow
+Push is synchronous on the solve path (the states are small — two
+digests plus the edit sets) and failure-tolerant: a dead or slow
 successor costs one logged warning, never the request.
 """
 
@@ -55,9 +56,9 @@ class ReplicaState:
     digest: str
     epoch: int
     runs: int
-    # Post-prepare layer checkpoint: {(net_id, seg_id): layer}.
-    baseline: Dict[Tuple[int, int], int]
-    # Edit sets (JSON form) applied since the last full solve, in order.
+    # Assignment digest of the prepared design, before any solve.
+    baseline: str
+    # Edit sets (JSON form) applied since the solved state, in order.
     history: List[List[Dict[str, Any]]] = field(default_factory=list)
 
 
@@ -204,7 +205,7 @@ def capture_state(resident) -> ReplicaState:
         digest=assignment_digest(resident.bench),
         epoch=resident.state_epoch,
         runs=resident.runs,
-        baseline=dict(resident._baseline),
+        baseline=resident._baseline,
         history=[list(h) for h in getattr(resident, "_history", ())],
     )
 

@@ -57,8 +57,9 @@ def edge_direction(edge: Edge2D) -> Direction:
 
 @dataclass
 class GridSnapshot:
-    """Opaque copy of a grid's mutable usage state (see ``GridGraph.snapshot``)."""
+    """Opaque copy of a grid's mutable state (see ``GridGraph.snapshot``)."""
 
+    capacity: Dict[int, np.ndarray]
     usage: Dict[int, np.ndarray]
     via_usage: np.ndarray
 
@@ -315,13 +316,16 @@ class GridGraph:
     # -- snapshots -------------------------------------------------------
 
     def snapshot(self) -> GridSnapshot:
-        """Copy the mutable usage state for later :meth:`restore`."""
+        """Copy the capacities and usage for a later :meth:`restore`."""
         return GridSnapshot(
+            capacity={l: c.copy() for l, c in self._cap.items()},
             usage={l: u.copy() for l, u in self._usage.items()},
             via_usage=self._via_usage.copy(),
         )
 
     def restore(self, snap: GridSnapshot) -> None:
+        for layer, arr in snap.capacity.items():
+            self._cap[layer][...] = arr
         for layer, arr in snap.usage.items():
             self._usage[layer][...] = arr
         self._via_usage[...] = snap.via_usage

@@ -27,7 +27,7 @@ import platform
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import convergence
 
@@ -169,12 +169,22 @@ def select_entry(entries: List[Dict[str, Any]], index: int = -1) -> Dict[str, An
 def match_baseline(
     entries: List[Dict[str, Any]], current: Dict[str, Any]
 ) -> Optional[Dict[str, Any]]:
-    """Latest baseline entry with the current run's benchmark + method."""
+    """Latest baseline entry with the current run's benchmark + method.
+
+    ECO entries also match on their edit size and closure round: one
+    ledger holds a chain per edit size and one entry per round, and each
+    is gated against its own counterpart.
+    """
+    def key(entry: Dict[str, Any]) -> Tuple[Any, ...]:
+        eco = entry.get("eco") or {}
+        return (
+            entry.get("benchmark"), entry.get("method"),
+            eco.get("edit_size"), eco.get("round"),
+        )
+
+    wanted = key(current)
     for entry in reversed(entries):
-        if (
-            entry.get("benchmark") == current.get("benchmark")
-            and entry.get("method") == current.get("method")
-        ):
+        if key(entry) == wanted:
             return entry
     return None
 
@@ -283,6 +293,8 @@ def render_entry(entry: Dict[str, Any]) -> str:
             f"  queue depth p50/p95/max  {depth.get('p50', 0):g}/"
             f"{depth.get('p95', 0):g}/{depth.get('max', 0):g}",
         ])
+        if "engine_runs" in serving:
+            lines.append(f"  engine runs          {serving['engine_runs']}")
         fleet = serving.get("fleet")
         if fleet:
             lines.extend([
@@ -365,6 +377,7 @@ _DIFF_FIELDS = (
     ("serve p95 latency ms", ("serving", "latency_ms", "p95")),
     ("serve throughput qps", ("serving", "throughput_qps")),
     ("serve warm speedup", ("serving", "warm_speedup")),
+    ("serve engine runs", ("serving", "engine_runs")),
     # Fleet entries (``repro bench-serve --gateway``): gateway-level
     # behaviour of the sharded topology.
     ("fleet cache hit rate", ("serving", "fleet", "cache_hit_rate")),

@@ -66,10 +66,14 @@ class NetTopology:
     parent_tile: Dict[int, Tile] = field(default_factory=dict)
     child_tile: Dict[int, Tile] = field(default_factory=dict)
     pins_at: Dict[Tile, List[Pin]] = field(default_factory=dict)
-    # Lazily-built tile -> carrier-segment index (see carrier_segment()).
+    # Lazily-built tile -> carrier-segment index (see carrier_segment())
+    # and junction tile -> incident segments index (see _incidence()).
     # The tree is structurally immutable once built — only segment *layers*
-    # change afterwards — so the index never needs invalidation.
+    # change afterwards — so the indexes never need invalidation.
     _carrier_index: Optional[Dict[Tile, Optional[int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _junction_index: Optional[Dict[Tile, List[int]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -130,12 +134,24 @@ class NetTopology:
         return index.get(tile)
 
     def segments_at(self, tile: Tile) -> List[int]:
-        """Segments having ``tile`` as one of their endpoints."""
-        return [
-            s.id
-            for s in self.segments
-            if tile in (self.parent_tile[s.id], self.child_tile[s.id])
-        ]
+        """Segments having ``tile`` as one of their endpoints, in id order."""
+        return list(self._incidence().get(tile, ()))
+
+    def _incidence(self) -> Dict[Tile, List[int]]:
+        """Junction tile -> ids of the segments ending there, in id order.
+
+        Keys run in sorted tile order and cover every junction tile, so a
+        root or pin tile without a segment maps to an empty list.  Built
+        once per topology, like the carrier index.
+        """
+        index = self._junction_index
+        if index is None:
+            index = {tile: [] for tile in sorted(self.junction_tiles())}
+            for sid in range(len(self.segments)):
+                index[self.parent_tile[sid]].append(sid)
+                index[self.child_tile[sid]].append(sid)
+            self._junction_index = index
+        return index
 
     def sink_pins(self, source: Pin) -> List[Pin]:
         out = []
@@ -161,11 +177,12 @@ class NetTopology:
         min..max.  Segments with ``layer == 0`` (unassigned) are skipped.
         """
         stacks: List[ViaStack] = []
-        for tile in sorted(self.junction_tiles()):
+        segments = self.segments
+        for tile, incident in self._incidence().items():
             layers = [
-                self.segments[sid].layer
-                for sid in self.segments_at(tile)
-                if self.segments[sid].layer > 0
+                segments[sid].layer
+                for sid in incident
+                if segments[sid].layer > 0
             ]
             layers.extend(p.layer for p in self.pins_at.get(tile, []))
             if len(layers) >= 2:

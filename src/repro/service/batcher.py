@@ -9,10 +9,12 @@ access — residents hold worker processes and mutable benchmarks, so exactly
 one solve runs at a time.
 
 Batching is deduplication: every job in a batch shares the problem
-signature, hence the bit-identical answer, so the engine runs **once** and
-the response fans out to all of them.  Under a burst of identical
-requests the engine cost is amortized across the burst — the serving-layer
-analogue of batched inference.
+signature, hence the bit-identical answer, so the resident answers
+**once** and the response fans out to all of them.  Only a resident's
+first full solve and its ECO applies run the engine; every later
+``/v1/assign`` answers from the resident's solved state.  Each response's
+``serving`` block says whether the engine ran (``engine_ran``) and
+whether the request reused a resident (``warm``).
 
 Crash isolation: a solve that raises fails only its batch (each job's
 future gets :class:`JobFailed` -> HTTP 500 with a structured error) and
@@ -127,7 +129,7 @@ class BatchScheduler:
             )
             leader = pending[0]
             try:
-                report, digest, assignment, engine_runs, solve_span_id = (
+                report, digest, assignment, engine, solve_span_id = (
                     await loop.run_in_executor(
                         self._executor,
                         self._solve,
@@ -171,7 +173,7 @@ class BatchScheduler:
                     "serve.solve_seconds", elapsed, SERVICE_BUCKETS
                 )
                 self._fan_out(
-                    pending, report, digest, assignment, engine_runs, elapsed,
+                    pending, report, digest, assignment, engine, elapsed,
                     solve_span_id,
                 )
             finally:
@@ -179,14 +181,16 @@ class BatchScheduler:
 
     def _solve(
         self, leader: Job, want_assignment: bool, batch_size: int
-    ) -> Tuple[Any, str, Optional[Dict[str, List[int]]], int,
+    ) -> Tuple[Any, str, Optional[Dict[str, List[int]]], Dict[str, Any],
                Optional[str]]:
-        """Engine-thread body: resolve the resident and run the batch once.
+        """Engine-thread body: resolve the resident and answer the batch once.
 
         An :class:`~repro.ispd.request.EcoRequest` leader applies its edit
-        set incrementally (``resident.apply_eco``); anything else is a full
-        solve.  The report is a :class:`RunReport` or an ``EcoReport``
-        accordingly — ``_fan_out`` picks the matching response builder.
+        set incrementally (``resident.apply_eco``); anything else gets the
+        full solve's answer (``resident.solve``).  The report is a
+        :class:`RunReport` or an ``EcoReport`` accordingly — ``_fan_out``
+        picks the matching response builder.  The returned ``engine``
+        fields join every response's ``serving`` block.
 
         The batch leader's trace context is attached for the duration, so
         the ``serve.solve`` span (and the whole engine span tree under it)
@@ -202,6 +206,7 @@ class BatchScheduler:
                 batch_size=batch_size,
             ) as span:
                 resident = self.host.get(leader.request)
+                runs_before = resident.runs
                 if isinstance(leader.request, EcoRequest):
                     report = resident.apply_eco(leader.request)
                     digest = report.digest
@@ -211,7 +216,13 @@ class BatchScheduler:
                     extract_assignment(resident.bench)
                     if want_assignment else None
                 )
-            return report, digest, assignment, resident.runs, getattr(
+            engine = {
+                "engine_runs": resident.runs,
+                "engine_ran": resident.runs > runs_before,
+                # A resident that already ran served an earlier request.
+                "warm": runs_before > 0,
+            }
+            return report, digest, assignment, engine, getattr(
                 span, "id", None
             )
         finally:
@@ -224,7 +235,7 @@ class BatchScheduler:
         report: Any,
         digest: str,
         assignment: Optional[Dict[str, List[int]]],
-        engine_runs: int,
+        engine: Dict[str, Any],
         elapsed: float,
         solve_span_id: Optional[str] = None,
     ) -> None:
@@ -242,12 +253,11 @@ class BatchScheduler:
                 "batch_size": len(jobs),
                 "deduped": len(jobs) > 1,
                 "queue_depth": job.depth_at_enqueue,
-                "engine_runs": engine_runs,
-                "warm": engine_runs > 1,
+                **engine,
             }
             if job is not leader and job.ctx is not None:
-                # The dedup winner ran the engine; followers record a span
-                # link into the winning run's trace so their own (otherwise
+                # The dedup winner answered the batch; followers record a
+                # span link into the winner's trace so their own (otherwise
                 # leaf-less) trace points at the spans that did the work.
                 serving["link"] = {
                     "trace_id": leader_trace,

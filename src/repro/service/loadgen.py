@@ -526,7 +526,7 @@ async def _failover_probe(
     return probes
 
 
-_FLEET_COUNTERS = (
+_COUNTERS = (
     "fleet.cache_hits", "fleet.cache_misses", "fleet.cache_invalidations",
     "fleet.failovers", "fleet.failover_requests",
     "fleet.failover_cold_builds", "fleet.replica_seeds",
@@ -539,7 +539,7 @@ def _counter_snapshot() -> Dict[str, float]:
     from repro.obs import metrics
 
     counters = metrics.registry().as_dict().get("counters", {})
-    return {name: float(counters.get(name, 0)) for name in _FLEET_COUNTERS}
+    return {name: float(counters.get(name, 0)) for name in _COUNTERS}
 
 
 def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
@@ -551,13 +551,17 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
         # snapshot the capture flags at startup) comes up.
         tracer.enable()
     counters_before: Optional[Dict[str, float]] = None
+    if not cfg.url:
+        from repro.obs import metrics
+
+        # Engine runs (and the fleet's stats) come from counter deltas:
+        # the server or the gateway and its shards share this process's
+        # registry.
+        metrics.enable()
+        counters_before = _counter_snapshot()
     if cfg.url:
         host, port = _parse_url(cfg.url)
     elif cfg.gateway:
-        from repro.obs import metrics
-
-        metrics.enable()  # fleet stats come from counter deltas
-        counters_before = _counter_snapshot()
         fleet = FleetTopology(
             cfg.shards,
             max_queue=cfg.max_queue,
@@ -685,12 +689,13 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
     # ``engine_runs`` vs ``cache_hits`` proves cache hits never reached a
     # solver (every served request is one or the other).
     fleet_stats: Optional[Dict[str, Any]] = None
+    delta: Dict[str, float] = {}
     if counters_before is not None:
         after = _counter_snapshot()
         delta = {
-            name: after[name] - counters_before[name]
-            for name in _FLEET_COUNTERS
+            name: after[name] - counters_before[name] for name in _COUNTERS
         }
+    if fleet is not None:
         lookups = delta["fleet.cache_hits"] + delta["fleet.cache_misses"]
         fleet_stats = {
             "shards": cfg.shards,
@@ -780,6 +785,10 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
         entry["serving"]["eco"] = eco_stats
     if fleet_stats is not None:
         entry["serving"]["fleet"] = fleet_stats
+    elif delta:
+        # A resident runs the engine for its first assign and every ECO
+        # apply only; every other request answers from its solved state.
+        entry["serving"]["engine_runs"] = int(delta["engine.runs"])
     # Trace linkage: the slowest load request is the one `obs check`
     # failures most want explained, so it is the entry's primary trace id.
     cold_trace = (
@@ -825,6 +834,8 @@ def render_summary(result: LoadGenResult) -> str:
             f"({eco['accepted']} accepted), final epoch {eco['final_epoch']}, "
             f"p50 {eco['latency_ms']['p50']:.0f}ms"
         ))
+    if "engine_runs" in s:
+        lines.append(f"  engine runs: {s['engine_runs']}")
     fleet = s.get("fleet")
     if fleet:
         lines.append(

@@ -4,18 +4,22 @@ One :class:`ResidentEngine` owns everything a problem signature needs to
 be served repeatedly without paying cold-start costs again:
 
 - the **prepared benchmark** (2-D routing, topology, initial DP layer
-  assignment) and a layer checkpoint taken right after preparation, so the
-  instance can be rewound instead of re-routed per request;
+  assignment), prepared once;
+- the **solved state**: the first full solve's report and assignment
+  digest, and for the CPLA methods a checkpoint of the solved design
+  (:class:`~repro.core.engine.EngineCheckpoint`), which ECO edits are
+  rewound to;
 - for the CPLA methods, a long-lived :class:`~repro.core.engine.CPLAEngine`
   whose Elmore fingerprint cache and leaf backend (with its worker
-  processes, for ``pool``/``dist`` requests with ``workers > 1``) survive
-  between runs.
+  processes, for ``pool``/``dist`` requests with ``workers > 1``) serve
+  the ECO passes.
 
-Engine reuse is deterministic (warm rerun == fresh run, bit-identical:
-every full solve starts from an empty ADMM warm store; enforced by
-tests/test_engine_reuse.py), so serving through a resident engine
-returns exactly what a one-shot ``repro run`` would — just faster from
-the second request on.
+A full solve starts from an empty ADMM warm store, so its answer depends
+only on the prepared design, which a resident never re-prepares: the
+stored answer is the one a one-shot ``repro run`` returns (enforced by
+tests/test_resident.py and tests/test_service.py).  Only the first
+``/v1/assign`` runs the optimizer; every later one answers from the
+solved state.
 
 :class:`EngineHost` is the LRU of residents, capacity-bounded because each
 CPLA resident may hold worker processes.  It is driven from the batch
@@ -26,38 +30,34 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.analysis.runreport import RunReport
-from repro.core.engine import CPLAConfig, CPLAEngine
+from repro.core.engine import CPLAConfig, CPLAEngine, EngineCheckpoint
 from repro.ispd.benchmark import Benchmark
 from repro.ispd.request import AssignRequest, assignment_digest
 from repro.obs import metrics
-from repro.route.occupancy import commit_net, release_net
+# Not called here since the rewind copies grid usage whole; kept so that
+# perfbench/tracing.py, which times them at this module, still finds them.
+from repro.route.occupancy import commit_net, release_net  # noqa: F401
 from repro.tila.engine import TILAConfig, TILAEngine
 from repro.utils import get_logger
 
 log = get_logger(__name__)
 
-SegKey = Tuple[int, int]
 
+@dataclass
+class SolvedState:
+    """A resident's answer to ``/v1/assign``, kept after its one full solve.
 
-def snapshot_layers(bench: Benchmark) -> Dict[SegKey, int]:
-    """Layer checkpoint of every net of a prepared benchmark."""
-    return {
-        (net.id, seg.id): seg.layer
-        for net in bench.nets
-        for seg in net.topology.segments
-    }
+    ``checkpoint`` is the solved design of a CPLA resident, which ECO edits
+    are rewound to; ``None`` for TILA residents, which take no edits.
+    """
 
-
-def restore_layers(bench: Benchmark, layers: Dict[SegKey, int]) -> None:
-    """Rewind a benchmark to a checkpoint, keeping grid occupancy exact."""
-    for net in bench.nets:
-        release_net(bench.grid, net.topology)
-        for seg in net.topology.segments:
-            seg.layer = layers[(net.id, seg.id)]
-        commit_net(bench.grid, net.topology)
+    report: RunReport
+    digest: str
+    checkpoint: Optional[EngineCheckpoint]
 
 
 class StaleEpoch(Exception):
@@ -100,14 +100,17 @@ class ResidentEngine:
         self.signature = request.signature()
         self.key = request.signature_key()
         self.method = request.method
+        # Engine runs on this resident: the full solve and every ECO apply
+        # (each also counts in the ``engine.runs`` metric).
         self.runs = 0
         self.created = time.monotonic()
-        # Committed-state epoch for ECO deltas: 0 after every full solve,
+        # Committed-state epoch for ECO deltas: 0 at the solved state,
         # +1 per applied edit set.  ``/v1/eco`` requests must name it.
         self.state_epoch = 0
+        self._solved: Optional[SolvedState] = None
         self._eco = None  # lazily-built repro.eco.engine.EcoEngine
         # Fleet replication (see repro.fleet.replica): the edit sets (JSON
-        # form) applied since the last full solve — shipped to the ring
+        # form) applied since the solved state — shipped to the ring
         # successor so a failover can replay them bit-exactly; a seeded
         # resident holds them in _pending_history until first touched.
         self._history = []
@@ -129,6 +132,9 @@ class ResidentEngine:
             )
         else:
             self.bench = prepare_fn(request.benchmark, scale=request.scale)
+        # Digest of the prepared design: fleet replicas carry it, and
+        # seed_replica refuses a peer whose preparation differed.
+        self._baseline = assignment_digest(self.bench)
         self._engine: Optional[CPLAEngine] = None
         if self.method in ("sdp", "ilp"):
             dist_config = None
@@ -146,41 +152,48 @@ class ResidentEngine:
                 dist=dist_config,
             )
             self._engine = CPLAEngine(self.bench, config)
-            self._baseline = self._engine.snapshot_layers()
         else:
             self._tila_ratio = request.ratio_percent / 100.0
-            self._baseline = snapshot_layers(self.bench)
 
     def solve(self) -> Tuple[RunReport, str]:
-        """Run the optimizer once; returns the report and assignment digest.
+        """The full solve's report and assignment digest.
 
-        The first run starts from the freshly prepared state; later runs
-        rewind to the post-``prepare`` checkpoint first, so every run sees
-        the identical input a one-shot ``repro run`` would.
+        Only the first call runs the optimizer, on the freshly prepared
+        design, and keeps the result as the resident's solved state.  Later
+        calls answer from it: at epoch 0 the design still is the solved
+        state; after ECO edits it is rewound to the solved checkpoint
+        first (:meth:`CPLAEngine.restore_layers`), which brings back every
+        route, topology, layer, pin capacitance, grid capacity and usage
+        the edits changed, and the ADMM warm store.
         """
-        if self.runs:
+        if self._solved is None:
+            self.runs += 1
+            metrics.inc("engine.runs")
             if self._engine is not None:
-                self._engine.restore_layers(self._baseline)
+                report = self._engine.run()
+                checkpoint = self._engine.snapshot_layers()
             else:
-                restore_layers(self.bench, self._baseline)
-        self.runs += 1
-        metrics.inc("engine.runs")
-        if self._engine is not None:
-            report = self._engine.run()
-        else:
-            config = TILAConfig(
-                engine="dp" if self.method == "tila" else "dp+flow",
-                critical_ratio=self._tila_ratio,
+                config = TILAConfig(
+                    engine="dp" if self.method == "tila" else "dp+flow",
+                    critical_ratio=self._tila_ratio,
+                )
+                report = TILAEngine(self.bench, config).run()
+                checkpoint = None
+            self._solved = SolvedState(
+                report, assignment_digest(self.bench), checkpoint
             )
-            report = TILAEngine(self.bench, config).run()
-        # A full solve recommits the baseline: any ECO history is gone and
-        # the epoch counter restarts from the new committed state.
+        elif self.state_epoch:
+            self._engine.restore_layers(self._solved.checkpoint)
+        else:
+            return self._solved.report, self._solved.digest
+        # The design is at the solved state: any ECO history is gone and
+        # the epoch counter restarts from it.
         self.state_epoch = 0
         self._eco = None
         self._history = []
         self._pending_history = None
         self._replicate()
-        return report, assignment_digest(self.bench)
+        return self._solved.report, self._solved.digest
 
     def apply_eco(self, request) -> "object":
         """Apply one ECO delta against the committed state; bump the epoch.
@@ -202,11 +215,12 @@ class ResidentEngine:
             raise StaleEpoch(request.state_epoch, self.state_epoch)
         if self._pending_history is not None:
             self._materialize_history()
-        elif not self.runs:
+        elif self._solved is None:
             self.solve()
         if self._eco is None:
             self._eco = EcoEngine(self._engine)
             self._eco.epoch = self.state_epoch
+        self.runs += 1
         metrics.inc("engine.runs")
         report = self._eco.apply(list(request.edits))
         self.state_epoch = self._eco.epoch
@@ -222,18 +236,18 @@ class ResidentEngine:
         """Adopt a :class:`~repro.fleet.replica.ReplicaState` from a peer.
 
         Called right after construction, before any request touches this
-        resident.  The shipped post-prepare checkpoint must match the
-        locally prepared baseline — preparation is deterministic, so a
-        mismatch means the peer solved a *different* problem and seeding
-        would break bit-identity; it is refused loudly.  Any ECO history
-        is held pending: the first ``/v1/eco`` request replays it to the
-        replicated epoch before applying its own delta, while a full
-        solve discards it (epochs restart at 0, as on any shard).
+        resident.  The shipped post-prepare digest must match the local
+        one — preparation is deterministic, so a mismatch means the peer
+        solved a *different* problem and seeding would break bit-identity;
+        it is refused loudly.  Any ECO history is held pending: the first
+        ``/v1/eco`` request replays it to the replicated epoch before
+        applying its own delta, while a full solve discards it (epochs
+        restart at 0, as on any shard).
         """
-        if dict(state.baseline) != dict(self._baseline):
+        if state.baseline != self._baseline:
             metrics.inc("fleet.replica_baseline_mismatch")
             log.warning(
-                "replica for %s has a divergent post-prepare checkpoint; "
+                "replica for %s has a divergent post-prepare digest; "
                 "refusing to seed", self.key,
             )
             return False
@@ -279,10 +293,6 @@ class ResidentEngine:
     def _replicate(self) -> None:
         if self._replicator is not None:
             self._replicator.push(self)
-
-    @property
-    def warm(self) -> bool:
-        return self.runs > 0
 
     def close(self) -> None:
         if self._engine is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,11 @@ from repro.pipeline import prepare
 from repro.solver.sdp import ADMMSDPSolver, SDPProblem, SDPSettings
 
 from tests.conftest import tiny_spec
+
+ECO_BASELINE = (
+    Path(__file__).resolve().parents[1]
+    / "benchmarks" / "results" / "eco_baseline.jsonl"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -265,6 +271,31 @@ class TestLedger:
         assert ledger.match_baseline(
             entries, {"benchmark": "a2", "method": "sdp"}
         ) is None
+
+    def test_match_baseline_pairs_eco_edit_sizes_and_rounds(self):
+        """Each ECO chain and closure round gates against its counterpart,
+        not against the ledger's last entry of the same method."""
+        def eco(method, **fields):
+            return {"schema": ledger.SCHEMA, "benchmark": "a1",
+                    "method": method, "eco": fields}
+
+        entries = [eco("eco:sdp", edit_size=size) for size in (1, 5, 25)]
+        entries += [eco("closure:sdp", round=r) for r in (1, 2, 3)]
+        for entry in entries:
+            assert ledger.match_baseline(entries, entry) is entry
+        assert ledger.match_baseline(
+            entries, eco("eco:sdp", edit_size=2)
+        ) is None
+
+    def test_checked_in_eco_baseline_passes_against_itself(self):
+        """CI eco-smoke's gate on a ledger equal to the baseline passes."""
+        entries = ledger.read_entries(str(ECO_BASELINE))
+        thresholds = ledger.CheckThresholds(
+            runtime=4.0, max_dirty_fraction=0.75
+        )
+        for entry in entries:
+            baseline = ledger.match_baseline(entries, entry)
+            assert ledger.check_entries(baseline, entry, thresholds) == []
 
     def test_check_identical_passes(self):
         convergence.enable()

@@ -430,6 +430,24 @@ class TestServerEndToEnd:
         assert second["serving"]["warm"] is True
         assert second["assignment_digest"] == first["assignment_digest"]
 
+    def test_repeated_assign_answers_from_the_solved_state(self, server):
+        """Only a resident's first assign runs the engine; the response
+        says so, and ``warm`` still marks every reuse of the resident."""
+        body = {**BODY, "method": "tila"}  # a resident no other test builds
+
+        async def main():
+            return [await _post_assign(server, dict(body)) for _ in range(3)]
+
+        (_, cold), (_, warm), (_, again) = asyncio.run(main())
+        assert cold["serving"]["engine_ran"] is True
+        assert cold["serving"]["warm"] is False
+        for response in (warm, again):
+            assert response["serving"]["engine_ran"] is False
+            assert response["serving"]["warm"] is True
+            assert response["serving"]["engine_runs"] == 1
+            assert response["assignment_digest"] == cold["assignment_digest"]
+            assert response["quality"] == cold["quality"]
+
     def test_queued_deadline_expires_as_504(self, server, held_build):
         async def main():
             # A fresh signature forces an engine build, behind which the
@@ -527,3 +545,20 @@ class TestBackpressureAndDrain:
         finally:
             server.stop()
         assert not server._thread.is_alive()  # drain ended the server loop
+
+
+class TestBenchServeEntry:
+    def test_single_node_entry_records_engine_runs(self):
+        """A single-node ``bench-serve`` entry counts the campaign's
+        engine runs: the cold request's solve, then none for the warm and
+        load requests, which the resident answers from its solved state."""
+        from repro.obs import ledger
+        from repro.service.loadgen import LoadGenConfig, run_loadgen
+
+        result = run_loadgen(LoadGenConfig(
+            benchmark="adaptec1", scale=0.05, ratio_percent=2,
+            qps=20, requests=4, concurrency=2, warmup=2,
+        ))
+        assert result.passed, result.entry
+        assert result.entry["serving"]["engine_runs"] == 1
+        assert "engine runs          1" in ledger.render_entry(result.entry)

@@ -410,9 +410,10 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-async def _post_assign(server: ServerThread, body, timeout=240.0):
+async def _post_assign(server: ServerThread, body, timeout=240.0,
+                       path="/v1/assign"):
     return await http_request(
-        server.config.host, server.port, "POST", "/v1/assign", body,
+        server.config.host, server.port, "POST", path, body,
         timeout=timeout,
     )
 
@@ -464,10 +465,24 @@ class TestServeDistTracing:
         body = {**BODY, "workers": 2, "exec": "dist"}
         remote_trace_id = None
         try:
+            # The first assign runs the full solve; a solved resident runs
+            # the engine again only for ECO edits, so the later requests
+            # are release rounds.  Repeat until the remote worker, which
+            # connects on its own schedule, has solved a leaf of one.
             deadline = time.monotonic() + 240.0
+            epoch = None
             while time.monotonic() < deadline:
-                status, payload = asyncio.run(_post_assign(server, body))
+                if epoch is None:
+                    status, payload = asyncio.run(_post_assign(server, body))
+                else:
+                    eco = {**body, "schema": "repro.eco_request/v1",
+                           "edits": [{"op": "release_nets", "worst": 4}],
+                           "state_epoch": epoch}
+                    status, payload = asyncio.run(
+                        _post_assign(server, eco, path="/v1/eco")
+                    )
                 assert status == 200, payload
+                epoch = payload.get("state_epoch", 0)
                 trace_id = payload["trace_id"]
                 spans = [
                     s for s in tracer.snapshot()

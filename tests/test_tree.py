@@ -164,16 +164,16 @@ class TestErrors:
             build_topology(net)
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_random_tree_segmentation_conserves_edges(data):
-    """Random monotone trees: segment lengths sum to the edge count and the
-    directed structure is a forest rooted at the source."""
-    # Build a random tree of tiles by attaching each new tile to a random
-    # existing one along a straight line.
+def random_tree_net(seed):
+    """A random tree of tiles on a 12x12 grid, with pins on some tiles.
+
+    Each step attaches a straight run of 1-3 tiles to an existing tile;
+    runs that would close a cycle stop short.
+    """
     import random as _random
 
-    seed = data.draw(st.integers(0, 10_000))
+    from repro.grid.graph import edge_between
+
     rng = _random.Random(seed)
     tiles = [(5, 5)]
     edges = set()
@@ -186,8 +186,6 @@ def test_random_tree_segmentation_conserves_edges(data):
             nxt = (cur[0] + dx, cur[1] + dy)
             if not (0 <= nxt[0] < 12 and 0 <= nxt[1] < 12):
                 break
-            from repro.grid.graph import edge_between
-
             e = edge_between(cur, nxt)
             if nxt in tiles and e not in edges:
                 break  # would close a cycle
@@ -196,10 +194,50 @@ def test_random_tree_segmentation_conserves_edges(data):
                 tiles.append(nxt)
             cur = nxt
     pins = [Pin(*tiles[0])] + [Pin(*t) for t in rng.sample(tiles, min(3, len(tiles)))]
-    net = net_with(pins, sorted(edges))
+    return net_with(pins, sorted(edges)), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_tree_segmentation_conserves_edges(data):
+    """Random monotone trees: segment lengths sum to the edge count and the
+    directed structure is a forest rooted at the source."""
+    net, _ = random_tree_net(data.draw(st.integers(0, 10_000)))
     topo = build_topology(net)
-    assert sum(s.length for s in topo.segments) == len(edges)
+    assert sum(s.length for s in topo.segments) == len(net.route_edges)
     roots = topo.root_segments()
     for sid in range(topo.num_segments):
         path = topo.path_to_segment(sid)
         assert path[0] in roots
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_junction_index_matches_the_segment_scan(seed):
+    """The junction index answers what a scan of every segment does, and
+    the via stacks built from it match stacks built from the scan."""
+    net, rng = random_tree_net(seed)
+    topo = build_topology(net)
+    for seg in topo.segments:
+        seg.layer = rng.choice([0, 1, 2, 3, 4, 5, 6])
+
+    def scan(tile):
+        return [
+            s.id for s in topo.segments
+            if tile in (topo.parent_tile[s.id], topo.child_tile[s.id])
+        ]
+
+    for x in range(12):
+        for y in range(12):
+            assert topo.segments_at((x, y)) == scan((x, y))
+
+    expected = []
+    for tile in sorted(topo.junction_tiles()):
+        layers = [
+            topo.segments[sid].layer for sid in scan(tile)
+            if topo.segments[sid].layer > 0
+        ]
+        layers.extend(p.layer for p in topo.pins_at.get(tile, []))
+        if len(layers) >= 2 and max(layers) > min(layers):
+            expected.append((tile, min(layers), max(layers)))
+    assert [(v.tile, v.lower, v.upper) for v in topo.via_stacks()] == expected
