@@ -215,8 +215,8 @@ class CPLAEngine:
         """One full optimization pass; safe to call repeatedly.
 
         The engine is reusable: the leaf backend (with its workers) and
-        the timing cache survive between calls, so a resident server can
-        run back-to-back requests without paying worker spawning again.
+        the timing cache survive between calls and serve the ECO passes
+        that follow, without paying worker spawning again.
         Each call starts from an empty ADMM warm store, so a rerun after
         :meth:`restore_layers` gives exactly the assignment a fresh
         engine would.  Call :meth:`close` (or use the engine as a

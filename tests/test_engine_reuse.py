@@ -1,7 +1,8 @@
 """Engine and pool lifecycle tests: reuse, close semantics, failure fallback.
 
 The serving layer keeps one :class:`~repro.core.engine.CPLAEngine` resident
-per problem signature and reruns it for every request, so the engine's
+per problem signature, answers from its first run and rewinds ECO edits
+to that run's checkpoint, and benchmarks rerun engines, so the engine's
 reuse contract is load-bearing:
 
 - a rewound rerun on a warm engine (live worker pool, populated Elmore
