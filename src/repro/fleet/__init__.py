@@ -16,9 +16,11 @@ that turns N shards into one service:
   epoch-invalidated by ``/v1/eco``): idempotent repeats never touch a
   solver;
 - :mod:`repro.fleet.replica` — state replication over the dist
-  protocol's authenticated framing, so failover resumes from the dead
-  shard's ECO epochs (checked against its post-prepare digest) instead
-  of cold.
+  protocol's authenticated framing.  A failed-over successor still
+  prepares and solves the signature in full; what the replica buys is
+  the ``/v1/eco`` epoch chain (the successor replays the dead shard's
+  ECO history) and a cross-node determinism check (it refuses a replica
+  whose post-prepare digest differs from its own).
 
 Bit-identity is the tier's invariant: a gateway-served digest equals the
 single-node ``repro serve`` digest for every request — cache hits and
@@ -31,12 +33,7 @@ entries gated in CI (`--min-cache-hit-rate`,
 from __future__ import annotations
 
 from repro.fleet.cache import CacheEntry, ResultCache
-from repro.fleet.gateway import (
-    Gateway,
-    GatewayConfig,
-    GatewayThread,
-    run_gateway,
-)
+from repro.fleet.gateway import Gateway, GatewayConfig
 from repro.fleet.replica import (
     ReplicaReceiver,
     ReplicaState,
@@ -53,7 +50,6 @@ __all__ = [
     "DEFAULT_VNODES",
     "Gateway",
     "GatewayConfig",
-    "GatewayThread",
     "HashRing",
     "ReplicaReceiver",
     "ReplicaState",
@@ -63,5 +59,4 @@ __all__ = [
     "ShardFleet",
     "capture_state",
     "push_state",
-    "run_gateway",
 ]

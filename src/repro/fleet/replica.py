@@ -7,7 +7,9 @@ the owning shard captures a :class:`ReplicaState` and pushes it to the
 ring successor of the problem signature over the dist
 protocol's authenticated length-prefixed framing
 (:mod:`repro.dist.protocol`, ``multiprocessing.connection`` transport,
-frame types ``replica``/``replica_ack``).
+frame types ``replica``/``replica_ack``).  A replica does not spare the
+successor any work: it still prepares the design and runs the full
+solve on its first request for the signature.
 
 One replica state carries:
 
@@ -20,8 +22,8 @@ One replica state carries:
   chaining epochs, because the successor replays the history bit-exactly
   before applying the client's next delta.
 
-Push is synchronous on the solve path (the states are small — two
-digests plus the edit sets) and failure-tolerant: a dead or slow
+Push is synchronous on the solve path (the states are small — one
+digest plus the edit sets) and failure-tolerant: a dead or slow
 successor costs one logged warning, never the request.
 """
 
@@ -53,9 +55,7 @@ class ReplicaState:
     """Everything a successor needs to resume a signature's epochs."""
 
     signature_key: str
-    digest: str
     epoch: int
-    runs: int
     # Assignment digest of the prepared design, before any solve.
     baseline: str
     # Edit sets (JSON form) applied since the solved state, in order.
@@ -198,13 +198,9 @@ def capture_state(resident) -> ReplicaState:
     Called on the engine thread right after a solve or an applied ECO
     delta, so the resident is quiescent and consistent.
     """
-    from repro.ispd.request import assignment_digest
-
     return ReplicaState(
         signature_key=resident.key,
-        digest=assignment_digest(resident.bench),
         epoch=resident.state_epoch,
-        runs=resident.runs,
         baseline=resident._baseline,
         history=[list(h) for h in getattr(resident, "_history", ())],
     )

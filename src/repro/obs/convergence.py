@@ -189,7 +189,14 @@ def extend_solves(records: List[Dict[str, Any]]) -> None:
 
 
 def _percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an unsorted list (0 for empty input)."""
+    """Percentile at index ``round(q * (n - 1))`` of an unsorted list.
+
+    0 for empty input.  Not :func:`repro.obs.traceview.percentile`'s
+    ``ceil(q * n) - 1`` nearest rank on purpose: the p50/p90 computed
+    here are stored in the checked-in ledger baselines, and ``repro obs
+    check`` gates the solver-iteration p90 against them, so changing the
+    index rule would move gated numbers without a change in the solver.
+    """
     if not values:
         return 0.0
     ordered = sorted(values)

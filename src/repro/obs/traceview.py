@@ -279,7 +279,12 @@ def render_critical(trace: Trace) -> str:
 # -- summary / connectivity check --------------------------------------------
 
 
-def _percentile(values: List[float], q: float) -> float:
+def percentile(values: List[float], q: float) -> float:
+    """Nearest-rank percentile: the ``ceil(q * n)``-th smallest value.
+
+    0 for empty input.  Trace summaries and ``bench-serve`` latency
+    percentiles both use it.
+    """
     if not values:
         return 0.0
     ordered = sorted(values)
@@ -308,7 +313,7 @@ def summarize(traces: Dict[str, Trace]) -> Dict[str, Any]:
             "errors": row["errors"],
             "total_ms": round(1000.0 * sum(durs), 3),
             "mean_ms": round(1000.0 * sum(durs) / len(durs), 3),
-            "p95_ms": round(1000.0 * _percentile(durs, 0.95), 3),
+            "p95_ms": round(1000.0 * percentile(durs, 0.95), 3),
             "self_ms": round(1000.0 * row["self"], 3),
         })
     table.sort(key=lambda r: -r["total_ms"])

@@ -15,8 +15,6 @@ must keep the release/commit bracketing tight.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.grid.graph import GridGraph
 from repro.route.tree import NetTopology
 
@@ -53,8 +51,3 @@ def release_net(grid: GridGraph, topo: NetTopology) -> None:
             grid.remove_wire(edge, seg.layer)
     for via in topo.via_stacks():
         grid.remove_via_stack(via.tile, via.lower, via.upper)
-
-
-def commit_all(grid: GridGraph, topologies: Iterable[NetTopology]) -> None:
-    for topo in topologies:
-        commit_net(grid, topo)

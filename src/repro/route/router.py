@@ -239,9 +239,6 @@ class GlobalRouter:
             )
         )
 
-    def usage_view(self, orient: str) -> np.ndarray:
-        return self._usage[orient].copy()
-
     # -- pattern routing ----------------------------------------------------
 
     def _monotone_candidates(self, a: Tile, b: Tile) -> List[List[Tile]]:
@@ -439,19 +436,6 @@ class GlobalRouter:
             remaining = [t for t in remaining if t not in tree_tiles]
         return _extract_tree(edges, net.source_tile, set(pins), net.name)
 
-    def _neighbors(self, tile: Tile) -> List[Tile]:
-        x, y = tile
-        out = []
-        if x > 0:
-            out.append((x - 1, y))
-        if x + 1 < self.grid.nx_tiles:
-            out.append((x + 1, y))
-        if y > 0:
-            out.append((x, y - 1))
-        if y + 1 < self.grid.ny_tiles:
-            out.append((x, y + 1))
-        return out
-
     def _astar(
         self, sources: Set[Tile], targets: Set[Tile]
     ) -> Tuple[Optional[List[Tile]], bool]:
@@ -553,35 +537,6 @@ class GlobalRouter:
                         prev[v] = u
                         heapq.heappush(heap, (nd + heuristic(v), v))
         return None, False
-
-    def _dijkstra(self, sources: Set[Tile], targets: Set[Tile]) -> Optional[List[Tile]]:
-        """Reference shortest-path search (kept for the A* property tests)."""
-        dist: Dict[Tile, float] = {s: 0.0 for s in sources}
-        prev: Dict[Tile, Optional[Tile]] = {s: None for s in sources}
-        heap: List[Tuple[float, Tile]] = [(0.0, s) for s in sources]
-        heapq.heapify(heap)
-        expanded = 0
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, _INF):
-                continue
-            if u in targets:
-                path = [u]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])  # type: ignore[arg-type]
-                path.reverse()
-                return path
-            expanded += 1
-            if expanded > self.config.maze_expansion_limit:
-                return None
-            for v in self._neighbors(u):
-                cost = self._edge_cost(edge_between(u, v))
-                nd = d + cost
-                if nd < dist.get(v, _INF):
-                    dist[v] = nd
-                    prev[v] = u
-                    heapq.heappush(heap, (nd, v))
-        return None
 
     # -- top level -----------------------------------------------------------
 

@@ -26,10 +26,7 @@ gated in CI by ``repro obs check`` exactly like solve regressions.
 from __future__ import annotations
 
 import asyncio
-import json
-import math
 import statistics
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -41,133 +38,12 @@ from repro.ispd.request import (
 )
 from repro.obs import ledger as run_ledger
 from repro.obs import tracer
+from repro.obs.traceview import percentile
+from repro.service.http import FrontThread, http_request
 from repro.service.server import AssignServer, ServeConfig
 from repro.utils import get_logger
 
 log = get_logger(__name__)
-
-
-# -- minimal asyncio HTTP client ---------------------------------------------
-
-
-async def http_request(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    body: Optional[Dict[str, Any]] = None,
-    timeout: float = 300.0,
-    headers: Optional[Dict[str, str]] = None,
-) -> Tuple[int, Any]:
-    """One HTTP/1.1 exchange; returns (status, parsed JSON or text).
-
-    ``headers`` adds extra request headers — e.g. ``traceparent`` to join
-    the request to a caller-side trace.
-    """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout=timeout
-    )
-    try:
-        blob = json.dumps(body).encode("utf-8") if body is not None else b""
-        extra = "".join(
-            f"{key}: {value}\r\n" for key, value in (headers or {}).items()
-        )
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(blob)}\r\n"
-            + extra
-            + "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + blob)
-        await writer.drain()
-        # Read headers, then exactly Content-Length body bytes.  Never read
-        # to EOF: solver worker processes forked mid-request inherit the
-        # server's accepted socket, so the connection only sees FIN when
-        # those (long-lived) workers exit — read-to-EOF would hang forever.
-        header_blob = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=timeout
-        )
-        header_blob = header_blob[:-4]
-        length = 0
-        for line in header_blob.decode("latin-1").split("\r\n")[1:]:
-            if line.lower().startswith("content-length:"):
-                length = int(line.split(":", 1)[1].strip())
-        payload = (
-            await asyncio.wait_for(reader.readexactly(length), timeout=timeout)
-            if length else b""
-        )
-    finally:
-        writer.close()
-    lines = header_blob.decode("latin-1").split("\r\n")
-    status = int(lines[0].split(" ", 2)[1])
-    text = payload.decode("utf-8", errors="replace")
-    content_type = ""
-    for line in lines[1:]:
-        if line.lower().startswith("content-type:"):
-            content_type = line.split(":", 1)[1].strip()
-    if content_type.startswith("application/json") and text.strip():
-        return status, json.loads(text)
-    return status, text
-
-
-# -- in-process server host --------------------------------------------------
-
-
-class ServerThread:
-    """An :class:`AssignServer` on a background thread with its own loop."""
-
-    def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        self.config = config or ServeConfig(port=0)
-        self.port: Optional[int] = None
-        self.server: Optional[AssignServer] = None
-        self._ready = threading.Event()
-        self._failed: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="assign-server", daemon=True
-        )
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # surfaced to the waiting starter
-            self._failed = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        server = AssignServer(self.config)
-        await server.start()
-        self.server = server
-        self.port = server.port
-        self._ready.set()
-        await server.serve_forever(install_signals=False)
-
-    def start(self, timeout: float = 60.0) -> "ServerThread":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("in-process server did not come up")
-        if self._failed is not None:
-            raise RuntimeError(f"in-process server failed: {self._failed!r}")
-        return self
-
-    def stop(self, timeout: float = 120.0) -> None:
-        if self.port is not None and self._thread.is_alive():
-            try:
-                asyncio.run(
-                    http_request(
-                        self.config.host, self.port, "POST", "/v1/drain"
-                    )
-                )
-            except OSError:
-                pass
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 # -- in-process fleet topology ------------------------------------------------
@@ -197,8 +73,8 @@ class FleetTopology:
         if num_shards < 1:
             raise ValueError("a fleet needs at least one shard")
         self.shard_ids = [f"s{i}" for i in range(num_shards)]
-        self.shards: Dict[str, ServerThread] = {}
-        self.gateway = None  # repro.fleet.gateway.GatewayThread
+        self.shards: Dict[str, FrontThread] = {}
+        self.gateway: Optional[FrontThread] = None
         self._ring = None
         self._max_queue = max_queue
         self._max_batch = max_batch
@@ -206,11 +82,12 @@ class FleetTopology:
         self._cache_capacity = cache_capacity
 
     def start(self) -> "FleetTopology":
-        from repro.fleet.gateway import GatewayConfig, GatewayThread
+        from repro.fleet.gateway import Gateway, GatewayConfig
         from repro.fleet.ring import HashRing
 
         for shard_id in self.shard_ids:
-            self.shards[shard_id] = ServerThread(
+            self.shards[shard_id] = FrontThread(
+                AssignServer,
                 ServeConfig(
                     port=0,
                     max_queue=self._max_queue,
@@ -222,13 +99,14 @@ class FleetTopology:
                 )
             ).start()
         peers = {
-            shard_id: thread.server.replica_address
+            shard_id: thread.front.replica_address
             for shard_id, thread in self.shards.items()
         }
         for thread in self.shards.values():
-            thread.server.join_fleet(peers)
+            thread.front.join_fleet(peers)
         self._ring = HashRing(self.shard_ids)
-        self.gateway = GatewayThread(
+        self.gateway = FrontThread(
+            Gateway,
             GatewayConfig(
                 shards={
                     shard_id: (thread.config.host, thread.port)
@@ -374,14 +252,6 @@ class LoadGenResult:
         )
 
 
-def _percentile(values: List[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
-    return ordered[index]
-
-
 def _parse_url(url: str) -> Tuple[str, int]:
     trimmed = url.strip()
     for prefix in ("http://", "https://"):
@@ -394,19 +264,25 @@ def _parse_url(url: str) -> Tuple[str, int]:
     return host, int(port_text)
 
 
+async def _post(
+    cfg: LoadGenConfig, host: str, port: int, path: str, body: Dict[str, Any]
+) -> Tuple[float, int, Any]:
+    """One timed POST; returns ``(milliseconds, status, payload)``."""
+    started = time.monotonic()
+    status, payload = await http_request(
+        host, port, "POST", path, body, timeout=cfg.timeout_seconds
+    )
+    return 1000.0 * (time.monotonic() - started), status, payload
+
+
 async def _campaign(
     cfg: LoadGenConfig, host: str, port: int
 ) -> Dict[str, Any]:
     """Run the three phases; returns the raw measurement dict."""
     body = cfg.assign_body()
 
-    async def send() -> Tuple[float, int, Any]:
-        started = time.monotonic()
-        status, payload = await http_request(
-            host, port, "POST", "/v1/assign", body,
-            timeout=cfg.timeout_seconds,
-        )
-        return 1000.0 * (time.monotonic() - started), status, payload
+    def send():
+        return _post(cfg, host, port, "/v1/assign", body)
 
     log.info("cold request (engine build) ...")
     cold_ms, cold_status, cold_payload = await send()
@@ -431,14 +307,10 @@ async def _campaign(
         log.info("eco phase: %d chained deltas ...", cfg.eco_rounds)
         epoch = 0
         for _ in range(cfg.eco_rounds):
-            started = time.monotonic()
-            status, payload = await http_request(
-                host, port, "POST", "/v1/eco", cfg.eco_body(epoch),
-                timeout=cfg.timeout_seconds,
+            ms, status, payload = await _post(
+                cfg, host, port, "/v1/eco", cfg.eco_body(epoch)
             )
-            eco_results.append(
-                (1000.0 * (time.monotonic() - started), status, payload)
-            )
+            eco_results.append((ms, status, payload))
             if status == 200 and isinstance(payload, dict):
                 epoch = int(payload.get("state_epoch", epoch + 1))
 
@@ -513,17 +385,10 @@ async def _failover_probe(
     """
     body = cfg.assign_body()
     body["return_assignment"] = True
-    probes: List[Tuple[float, int, Any]] = []
-    for _ in range(cfg.failover_requests):
-        started = time.monotonic()
-        status, payload = await http_request(
-            host, port, "POST", "/v1/assign", body,
-            timeout=cfg.timeout_seconds,
-        )
-        probes.append(
-            (1000.0 * (time.monotonic() - started), status, payload)
-        )
-    return probes
+    return [
+        await _post(cfg, host, port, "/v1/assign", body)
+        for _ in range(cfg.failover_requests)
+    ]
 
 
 _COUNTERS = (
@@ -544,7 +409,7 @@ def _counter_snapshot() -> Dict[str, float]:
 
 def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
     """Execute one campaign and build its ledger entry."""
-    server: Optional[ServerThread] = None
+    server: Optional[FrontThread] = None
     fleet: Optional[FleetTopology] = None
     if cfg.trace_out:
         # Enable before the server (and its engine pools/fabrics, which
@@ -571,7 +436,8 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
         ).start()
         host, port = fleet.host, fleet.port
     else:
-        server = ServerThread(
+        server = FrontThread(
+            AssignServer,
             ServeConfig(
                 port=0,
                 max_queue=cfg.max_queue,
@@ -679,7 +545,7 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
             "failed": eco_failed,
             "final_epoch": final_epoch,
             "latency_ms": {
-                "p50": round(_percentile(eco_ms, 0.50), 3),
+                "p50": round(percentile(eco_ms, 0.50), 3),
                 "max": round(max(eco_ms), 3) if eco_ms else 0.0,
             },
         }
@@ -752,9 +618,9 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
         },
         "serving": {
             "latency_ms": {
-                "p50": round(_percentile(latencies, 0.50), 3),
-                "p95": round(_percentile(latencies, 0.95), 3),
-                "p99": round(_percentile(latencies, 0.99), 3),
+                "p50": round(percentile(latencies, 0.50), 3),
+                "p95": round(percentile(latencies, 0.95), 3),
+                "p99": round(percentile(latencies, 0.99), 3),
                 "mean": round(statistics.fmean(latencies), 3) if latencies else 0.0,
                 "max": round(max(latencies), 3) if latencies else 0.0,
             },
@@ -773,8 +639,8 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
                 "deduped": deduped,
             },
             "queue_depth": {
-                "p50": _percentile(depths, 0.50),
-                "p95": _percentile(depths, 0.95),
+                "p50": percentile(depths, 0.50),
+                "p95": percentile(depths, 0.95),
                 "max": max(depths) if depths else 0.0,
             },
             "digest_consistent": result.consistent,

@@ -1,8 +1,10 @@
 """Asyncio HTTP job server for layer-assignment requests (``repro serve``).
 
-Stdlib only: a minimal HTTP/1.1 implementation over asyncio streams —
-request line, headers, ``Content-Length`` body, one request per
-connection.  Endpoints:
+The server is an :class:`~repro.service.http.HttpFront` (metric prefix
+``serve``, span ``serve.request``): parsing, trace ids, the 400/404/405
+and crash-isolating 500 replies and the request metrics come from that
+one HTTP edge, which the fleet gateway shares.  This module supplies the
+routes:
 
 - ``POST /v1/assign`` — problem JSON in (``repro.assign_request/v1``),
   optimized assignment + Tcp + per-phase clocks out.  Admission goes
@@ -19,12 +21,12 @@ connection.  Endpoints:
 - ``GET  /readyz``   — readiness: 200 while accepting, 503 once draining.
 - ``POST /v1/drain`` — begin graceful drain (same path as SIGTERM).
 
-Every request is trace-scoped: an incoming W3C ``traceparent`` header is
-continued (or a fresh trace id minted), the ``trace_id`` is returned in
+Every request is trace-scoped: the edge continues an incoming W3C
+``traceparent`` (or mints a trace id) and returns the ``trace_id`` in
 every JSON response body and ``X-Trace-Id`` header — 429/500/504
-included — and, when tracing is enabled, a detached ``serve.request``
-span roots the request's span tree (engine and worker spans nest under
-it through the batch scheduler; see ``repro obs trace``).
+included.  When tracing is enabled, the detached ``serve.request`` span
+roots the request's span tree (engine and worker spans nest under it
+through the batch scheduler; see ``repro obs trace``).
 
 Lifecycle: SIGTERM/SIGINT (or ``/v1/drain``) stops admission, lets
 in-flight and queued jobs finish on the engine thread, closes resident
@@ -36,11 +38,9 @@ resident; the server keeps serving.
 from __future__ import annotations
 
 import asyncio
-import json
-import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.ispd.request import (
     AssignRequest,
@@ -48,8 +48,7 @@ from repro.ispd.request import (
     RequestError,
     error_body,
 )
-from repro.obs import metrics, tracer
-from repro.obs.tracer import TraceContext
+from repro.obs import metrics
 from repro.service import http
 from repro.service.batcher import BatchScheduler, JobConflict, JobFailed
 from repro.service.jobs import Job, JobExpired, JobQueue, QueueClosed, QueueFull
@@ -57,9 +56,6 @@ from repro.service.resident import EngineHost
 from repro.utils import get_logger
 
 log = get_logger(__name__)
-
-# End-to-end request latency buckets (seconds).
-_REQUEST_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 120.0)
 
 
 @dataclass
@@ -106,11 +102,24 @@ class ServeConfig:
             raise ValueError("replica_listen requires fleet_shard_id")
 
 
-class AssignServer:
-    """One resident serving process: queue + batcher + HTTP front."""
+class AssignServer(http.HttpFront):
+    """One resident serving process: queue + batcher on the HTTP edge."""
+
+    metric_prefix = "serve"
+    span_name = "serve.request"
+    crash_log = "unhandled error serving %s %s"
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        self.config = config or ServeConfig()
+        super().__init__(config or ServeConfig(), {
+            "/healthz": {"GET": self._healthz},
+            "/readyz": {"GET": self._readyz},
+            "/metrics": {"GET": self._metrics},
+            "/v1/drain": {"POST": self._drain},
+            "/v1/assign": {"POST": self._assign},
+            "/v1/eco": {
+                "POST": lambda req: self._assign(req, EcoRequest.from_json)
+            },
+        })
         self.queue = JobQueue(self.config.max_queue)
         self.host = EngineHost(
             self.config.engine_cache,
@@ -120,12 +129,8 @@ class AssignServer:
         self.scheduler = BatchScheduler(
             self.queue, self.host, self.config.max_batch
         )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped: Optional[asyncio.Event] = None
         self._draining = False
         self._drain_task: Optional[asyncio.Task] = None
-        self._started_at = time.monotonic()
-        self.port: Optional[int] = None  # actual port (config.port may be 0)
         self._replica_receiver = None  # repro.fleet.replica.ReplicaReceiver
 
     # -- lifecycle --------------------------------------------------------
@@ -133,8 +138,6 @@ class AssignServer:
     async def start(self) -> None:
         """Bind the socket and start the dispatcher (idempotent-free)."""
         metrics.enable()
-        self._stopped = asyncio.Event()
-        self._started_at = time.monotonic()
         if self.config.replica_listen is not None:
             from repro.fleet.replica import ReplicaReceiver
 
@@ -149,10 +152,7 @@ class AssignServer:
             if self.config.fleet_peers:
                 self.join_fleet(self.config.fleet_peers)
         self.scheduler.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self.listen()
         log.info(
             "serving on http://%s:%d (queue=%d, batch=%d, engines=%d)",
             self.config.host, self.port,
@@ -160,27 +160,8 @@ class AssignServer:
             self.config.engine_cache,
         )
 
-    async def serve_forever(self, install_signals: bool = True) -> int:
-        """Run until drained; returns the process exit code (0 = clean)."""
-        if self._server is None:
-            await self.start()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(
-                        sig, self.initiate_drain, f"signal {sig.name}"
-                    )
-                except (NotImplementedError, RuntimeError, ValueError):
-                    # Non-main thread or platform without signal support;
-                    # draining stays reachable through POST /v1/drain.
-                    break
-        assert self._stopped is not None
-        await self._stopped.wait()
-        return 0
-
-    def initiate_drain(self, reason: str = "requested") -> None:
-        """Stop admission, finish in-flight work, then stop the server."""
+    def initiate_shutdown(self, reason: str = "requested") -> None:
+        """Drain: stop admission, finish in-flight work, then stop."""
         if self._draining:
             return
         self._draining = True
@@ -204,7 +185,6 @@ class AssignServer:
                 None, self._replica_receiver.close
             )
         log.info("drain complete")
-        assert self._stopped is not None
         self._stopped.set()
 
     @property
@@ -226,7 +206,7 @@ class AssignServer:
         ``peers`` maps shard id -> replica listener address for the whole
         fleet, this shard included.  Builds the same consistent-hash ring
         the gateway routes by, so the shard can (a) push each signature's
-        warm state to its ring successor and (b) recognize failed-over
+        replica state to its ring successor and (b) recognize failed-over
         traffic — a resident build for a signature it does not own.
         """
         from repro.fleet.replica import Replicator, ShardFleet
@@ -251,166 +231,56 @@ class AssignServer:
             shard_id, len(peers), ", ".join(sorted(peers)),
         )
 
-    # -- connection handling ----------------------------------------------
+    # -- routes -----------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        started = time.monotonic()
-        try:
-            method, path, headers_in, body = await http.read_request(
-                reader, self.config.max_body_bytes,
-                self.config.header_timeout_seconds,
-            )
-        except http.HttpError as exc:
-            ctx = TraceContext(tracer.new_trace_id())
-            await http.respond(
-                writer, exc.status,
-                self._tag_payload(
-                    error_body("bad_request", str(exc)), ctx
-                ),
-                self._trace_headers({}, ctx),
-            )
-            return
-        except (asyncio.IncompleteReadError, asyncio.TimeoutError,
-                ConnectionError, asyncio.LimitOverrunError):
-            writer.close()
-            return
-        # Request-scoped trace context: continue an incoming W3C
-        # ``traceparent`` if the caller sent one, else mint a fresh trace.
-        # The request span is *detached* (never on the thread-local nesting
-        # stack): the handler holds it across ``await`` points, where stack
-        # discipline would interleave concurrent requests.
-        ctx = (
-            TraceContext.from_traceparent(headers_in.get("traceparent"))
-            or TraceContext(tracer.new_trace_id())
-        )
-        request_span = tracer.start_span(
-            "serve.request", ctx=ctx, method=method, path=path
-        )
-        job_ctx = TraceContext(
-            ctx.trace_id,
-            request_span.id if request_span is not None else ctx.span_id,
-        )
-        error_type: Optional[str] = None
-        try:
-            status, payload, headers = await self._route(
-                method, path, body, job_ctx
-            )
-        except Exception as exc:  # crash isolation: never kill the server
-            log.warning(
-                "unhandled error serving %s %s", method, path, exc_info=True
-            )
-            metrics.inc("serve.internal_errors")
-            error_type = type(exc).__name__
-            status, payload, headers = 500, error_body(
-                "internal", f"{type(exc).__name__}: {exc}"
-            ), {}
-        metrics.observe(
-            "serve.request_seconds",
-            time.monotonic() - started,
-            _REQUEST_BUCKETS,
-        )
-        metrics.inc(f"serve.http_{status}")
-        await http.respond(
-            writer, status,
-            self._tag_payload(payload, job_ctx),
-            self._trace_headers(headers, job_ctx),
-        )
-        if request_span is not None:
-            request_span.set_attr("status", status)
-            if error_type is None and status >= 500:
-                error_type = f"http_{status}"
-            request_span.finish(error_type)
+    async def _healthz(self, req: http.Request) -> http.Reply:
+        return 200, {
+            "status": "alive",
+            "uptime_seconds": round(time.monotonic() - self._started_at, 3),
+            "draining": self._draining,
+        }, {}
 
-    @staticmethod
-    def _tag_payload(payload: Any, ctx: TraceContext) -> Any:
-        """Stamp the request's trace id into every JSON response body.
-
-        Applies to *all* statuses — 429/500/504 included — so a client can
-        always hand a trace id to ``repro obs trace`` even when response
-        headers were swallowed by a proxy or a minimal client.
-        """
-        if isinstance(payload, dict):
-            payload.setdefault("trace_id", ctx.trace_id)
-        return payload
-
-    @staticmethod
-    def _trace_headers(
-        headers: Optional[Dict[str, str]], ctx: TraceContext
-    ) -> Dict[str, str]:
-        headers = dict(headers or {})
-        headers.setdefault("X-Trace-Id", ctx.trace_id or "")
-        if ctx.span_id is not None:
-            headers.setdefault("traceparent", ctx.to_traceparent())
-        return headers
-
-    # -- routing ----------------------------------------------------------
-
-    async def _route(
-        self, method: str, path: str, body: bytes, ctx: TraceContext
-    ) -> Tuple[int, Any, Dict[str, str]]:
-        if path == "/healthz" and method == "GET":
+    async def _readyz(self, req: http.Request) -> http.Reply:
+        if self.ready:
             return 200, {
-                "status": "alive",
-                "uptime_seconds": round(
-                    time.monotonic() - self._started_at, 3
-                ),
-                "draining": self._draining,
+                "status": "ready",
+                "queue_depth": len(self.queue),
+                "resident_engines": len(self.host),
             }, {}
-        if path == "/readyz" and method == "GET":
-            if self.ready:
-                return 200, {
-                    "status": "ready",
-                    "queue_depth": len(self.queue),
-                    "resident_engines": len(self.host),
-                }, {}
-            return 503, {"status": "draining"}, {}
-        if path == "/metrics" and method == "GET":
-            metrics.set_gauge("serve.queue_depth_current", len(self.queue))
-            metrics.set_gauge("serve.in_flight", self.scheduler.in_flight)
-            metrics.set_gauge("serve.resident_engines", len(self.host))
-            return 200, metrics.registry().render_prometheus(), {}
-        if path == "/v1/drain" and method == "POST":
-            queued, in_flight = len(self.queue), self.scheduler.in_flight
-            self.initiate_drain("POST /v1/drain")
-            return 202, {
-                "status": "draining",
-                "queued": queued,
-                "in_flight": in_flight,
-            }, {}
-        if path == "/v1/assign" and method == "POST":
-            return await self._assign(body, ctx)
-        if path == "/v1/eco" and method == "POST":
-            return await self._assign(body, ctx, parser=EcoRequest.from_json)
-        if path in ("/healthz", "/readyz", "/metrics", "/v1/drain",
-                    "/v1/assign", "/v1/eco"):
-            return 405, error_body(
-                "method_not_allowed", f"{method} not supported on {path}"
-            ), {}
-        return 404, error_body("not_found", f"no route {path}"), {}
+        return 503, {"status": "draining"}, {}
+
+    async def _metrics(self, req: http.Request) -> http.Reply:
+        metrics.set_gauge("serve.queue_depth_current", len(self.queue))
+        metrics.set_gauge("serve.in_flight", self.scheduler.in_flight)
+        metrics.set_gauge("serve.resident_engines", len(self.host))
+        return 200, metrics.registry().render_prometheus(), {}
+
+    async def _drain(self, req: http.Request) -> http.Reply:
+        queued, in_flight = len(self.queue), self.scheduler.in_flight
+        self.initiate_shutdown("POST /v1/drain")
+        return 202, {
+            "status": "draining",
+            "queued": queued,
+            "in_flight": in_flight,
+        }, {}
 
     async def _assign(
-        self, body: bytes, ctx: TraceContext, parser=AssignRequest.from_json
-    ) -> Tuple[int, Any, Dict[str, str]]:
+        self, req: http.Request, parser=AssignRequest.from_json
+    ) -> http.Reply:
         """Shared admission path of ``/v1/assign`` and ``/v1/eco``.
 
         Only the parser differs; queueing, backpressure, deadlines, and
         the error taxonomy are identical.  409 (stale ECO epoch) can only
         come back for :class:`EcoRequest` jobs.
         """
-        try:
-            payload = json.loads(body.decode("utf-8") or "null")
-            request = parser(payload)
-            self._check_policy(request)
-        except (RequestError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            metrics.inc("serve.bad_requests")
-            return 400, error_body("bad_request", str(exc)), {}
+        request = self.parse_body(
+            req.body, lambda payload: self._check_policy(parser(payload))
+        )
         job = Job.create(
             request,
             asyncio.get_running_loop(),
             self.config.default_deadline_ms,
-            ctx=ctx,
+            ctx=req.ctx,
         )
         try:
             self.queue.submit(job)
@@ -434,7 +304,7 @@ class AssignServer:
             return 500, error_body("solve_failed", str(exc)), {}
         return 200, response, {}
 
-    def _check_policy(self, request: AssignRequest) -> None:
+    def _check_policy(self, request: AssignRequest) -> AssignRequest:
         cfg = self.config
         if request.scale > cfg.max_scale:
             raise RequestError(
@@ -446,10 +316,5 @@ class AssignServer:
                 f"workers {request.workers} exceeds this server's limit "
                 f"{cfg.max_workers}"
             )
+        return request
 
-
-async def run_server(config: Optional[ServeConfig] = None) -> int:
-    """Start a server and block until it drains; returns the exit code."""
-    server = AssignServer(config)
-    await server.start()
-    return await server.serve_forever()

@@ -120,9 +120,6 @@ class ElmoreEngine:
         for net_id in net_ids:
             self._cache.pop(net_id, None)
 
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
     # -- capacitance ------------------------------------------------------
 
     def wire_capacitance(self, seg) -> float:

@@ -319,10 +319,10 @@ class TestServeEco:
 
     @pytest.fixture(scope="class")
     def server(self):
-        from repro.service import ServeConfig, ServerThread
+        from repro.service import AssignServer, FrontThread, ServeConfig
 
-        with ServerThread(
-            ServeConfig(port=0, max_queue=8, max_batch=4)
+        with FrontThread(
+            AssignServer, ServeConfig(port=0, max_queue=8, max_batch=4)
         ) as srv:
             yield srv
 

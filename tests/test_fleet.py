@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet.cache import CacheEntry, ResultCache
-from repro.fleet.gateway import GatewayConfig, GatewayThread
+from repro.fleet.gateway import Gateway, GatewayConfig
 from repro.fleet.replica import (
     ReplicaReceiver,
     ReplicaState,
@@ -34,10 +34,10 @@ from repro.fleet.replica import (
 from repro.fleet.ring import HashRing
 from repro.obs import ledger as run_ledger
 from repro.obs import metrics
+from repro.service.http import FrontThread, http_request
 from repro.service.loadgen import (
     FleetTopology,
     LoadGenConfig,
-    http_request,
     run_loadgen,
 )
 
@@ -261,9 +261,7 @@ AUTHKEY = b"test-fleet-secret"
 def _state(key: str = "sig-x", epoch: int = 0) -> ReplicaState:
     return ReplicaState(
         signature_key=key,
-        digest="sha256:deadbeef",
         epoch=epoch,
-        runs=3,
         baseline={(1, 0): 2, (1, 1): 4},
         history=[[{"op": "release_nets", "worst": 2}]] if epoch else [],
     )
@@ -278,7 +276,6 @@ class TestReplication:
             assert push_state(receiver.address, AUTHKEY, state) is True
             stored = receiver.store.get("sig-x")
             assert stored is not None
-            assert stored.digest == state.digest
             assert stored.epoch == 2
             assert stored.baseline == state.baseline
             assert stored.history == state.history
@@ -468,7 +465,7 @@ def test_gateway_error_passthrough_is_byte_exact(
     ).encode("latin-1") + blob
     shard = _CannedShard(canned)
     shard.start()
-    gateway = GatewayThread(GatewayConfig(
+    gateway = FrontThread(Gateway, GatewayConfig(
         shards={"s0": ("127.0.0.1", shard.port)}, port=0,
         health_interval_seconds=0.2,
     )).start()

@@ -8,8 +8,10 @@ exactly minimum cost (property-tested against the Dijkstra reference it
 replaced).
 """
 
+import heapq
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -172,6 +174,44 @@ def _path_cost(router, path):
     )
 
 
+def _dijkstra(router, sources, targets):
+    """Reference shortest-path search over ``router``'s edge costs.
+
+    The oracle the A* property test compares against: plain Dijkstra
+    from every source, stopping at the first target settled, under the
+    router's expansion limit.
+    """
+    nx, ny = router.grid.nx_tiles, router.grid.ny_tiles
+    dist = {s: 0.0 for s in sources}
+    prev = {s: None for s in sources}
+    heap = [(0.0, s) for s in sources]
+    heapq.heapify(heap)
+    expanded = 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, math.inf):
+            continue
+        if u in targets:
+            path = [u]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            path.reverse()
+            return path
+        expanded += 1
+        if expanded > router.config.maze_expansion_limit:
+            return None
+        x, y = u
+        for v in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+            if not (0 <= v[0] < nx and 0 <= v[1] < ny):
+                continue
+            nd = d + router._edge_cost(edge_between(u, v))
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                prev[v] = u
+                heapq.heappush(heap, (nd, v))
+    return None
+
+
 def _randomized_router(rng, n):
     router = GlobalRouter(GridGraph(n, n, make_stack(4)))
     for orient in ("H", "V"):
@@ -207,7 +247,7 @@ class TestAStarOptimality:
         targets = {tiles[i] for i in picks[num_sources:]}
 
         path, aborted = router._astar(sources, set(targets))
-        reference = router._dijkstra(sources, set(targets))
+        reference = _dijkstra(router, sources, set(targets))
         assert not aborted
         assert path is not None and reference is not None
         assert path[0] in sources and path[-1] in targets

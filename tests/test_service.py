@@ -37,8 +37,9 @@ from repro.service import (
     JobQueue,
     QueueClosed,
     QueueFull,
+    AssignServer,
+    FrontThread,
     ServeConfig,
-    ServerThread,
     http_request,
 )
 
@@ -344,22 +345,22 @@ def _cli_path_digest() -> str:
     return assignment_digest(bench)
 
 
-async def _post_assign(server: ServerThread, body, timeout=180.0):
+async def _post_assign(server: FrontThread, body, timeout=180.0):
     return await http_request(
         server.config.host, server.port, "POST", "/v1/assign", body,
         timeout=timeout,
     )
 
 
-async def _get(server: ServerThread, path: str):
+async def _get(server: FrontThread, path: str):
     return await http_request(server.config.host, server.port, "GET", path)
 
 
 class TestServerEndToEnd:
     @pytest.fixture(scope="class")
     def server(self):
-        with ServerThread(
-            ServeConfig(port=0, max_queue=16, max_batch=8)
+        with FrontThread(
+            AssignServer, ServeConfig(port=0, max_queue=16, max_batch=8)
         ) as thread:
             yield thread
 
@@ -512,8 +513,8 @@ class TestBackpressureAndDrain:
             assert (await first)[0] == 200
             assert (await second)[0] == 200
 
-        with ServerThread(
-            ServeConfig(port=0, max_queue=1, max_batch=1)
+        with FrontThread(
+            AssignServer, ServeConfig(port=0, max_queue=1, max_batch=1)
         ) as server:
             asyncio.run(main())
 
@@ -538,7 +539,7 @@ class TestBackpressureAndDrain:
             assert status == 200
             return payload
 
-        server = ServerThread(ServeConfig(port=0)).start()
+        server = FrontThread(AssignServer, ServeConfig(port=0)).start()
         try:
             payload = asyncio.run(main())
             assert payload["assignment_digest"].startswith("sha256:")

@@ -34,7 +34,12 @@ from repro.ispd.synthetic import generate
 from repro.obs import tracer, traceview
 from repro.obs.tracer import TraceContext
 from repro.pipeline import prepare
-from repro.service import ServeConfig, ServerThread, http_request
+from repro.service import (
+    AssignServer,
+    FrontThread,
+    ServeConfig,
+    http_request,
+)
 
 from tests.conftest import tiny_spec
 from tests.test_engine import fast_cpla
@@ -410,7 +415,7 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-async def _post_assign(server: ServerThread, body, timeout=240.0,
+async def _post_assign(server: FrontThread, body, timeout=240.0,
                        path="/v1/assign"):
     return await http_request(
         server.config.host, server.port, "POST", path, body,
@@ -457,7 +462,7 @@ class TestServeDistTracing:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        server = ServerThread(ServeConfig(
+        server = FrontThread(AssignServer, ServeConfig(
             port=0, max_queue=16, max_batch=4,
             dist_listen=("127.0.0.1", port),
             dist_authkey=b"trace-test-secret",
@@ -520,7 +525,7 @@ class TestServeDistTracing:
         spans still assemble into a single connected tree."""
         monkeypatch.setenv("REPRO_DIST_FAULT", "crash:0:1")
         tracer.enable()
-        server = ServerThread(ServeConfig(
+        server = FrontThread(AssignServer, ServeConfig(
             port=0, max_queue=16, max_batch=4
         )).start()
         body = {**BODY, "workers": 2, "exec": "dist"}
@@ -546,7 +551,9 @@ class TestServeDistTracing:
 class TestResponseTraceIds:
     def test_error_responses_carry_a_trace_id(self):
         tracer.enable()
-        server = ServerThread(ServeConfig(port=0, max_queue=1)).start()
+        server = FrontThread(
+            AssignServer, ServeConfig(port=0, max_queue=1)
+        ).start()
         try:
             async def main():
                 bad_status, bad = await _post_assign(
@@ -566,7 +573,7 @@ class TestResponseTraceIds:
     def test_incoming_traceparent_is_honored(self):
         tracer.enable()
         ctx = TraceContext(tracer.new_trace_id(), "00000bee00000001")
-        server = ServerThread(ServeConfig(port=0)).start()
+        server = FrontThread(AssignServer, ServeConfig(port=0)).start()
         try:
             status, payload = asyncio.run(http_request(
                 server.config.host, server.port, "POST", "/v1/assign",
