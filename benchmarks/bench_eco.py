@@ -47,7 +47,7 @@ from repro.core.engine import CPLAConfig, CPLAEngine
 from repro.eco.edits import EcoEdit
 from repro.eco.engine import EcoEngine, EcoReport, cold_replay_digest
 from repro.ispd.request import assignment_digest
-from repro.obs.ledger import SCHEMA, append_entry, fingerprint
+from repro.obs.ledger import append_entry, make_entry
 from repro.pipeline import prepare
 
 BENCH_SCHEMA = "repro.bench_eco/v1"
@@ -151,13 +151,9 @@ def _ledger_entry(
     args: argparse.Namespace, record: Dict[str, Any], report: EcoReport
 ) -> Dict[str, Any]:
     """One ``eco:<method>`` run-ledger entry for one edit size."""
-    return {
-        "schema": SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "benchmark": report.benchmark,
-        "method": f"eco:{args.method}",
-        "critical_ratio": args.ratio / 100.0,
-        "fingerprint": fingerprint({
+    return make_entry(
+        report.benchmark, f"eco:{args.method}", args.ratio / 100.0,
+        {
             "scale": args.scale,
             "critical_ratio": args.ratio / 100.0,
             "workers": args.workers,
@@ -165,23 +161,20 @@ def _ledger_entry(
             "tier": "eco",
             "edit_size": record["edit_size"],
             "resize_factor": args.factor,
-        }),
-        "quality": {
+        },
+        {
             "initial_avg_tcp": report.pre_avg_tcp,
             "final_avg_tcp": report.post_avg_tcp,
             "initial_max_tcp": report.pre_max_tcp,
             "final_max_tcp": report.post_max_tcp,
         },
-        "runtime": {
-            "total_seconds": record["incremental_seconds"],
-            "phases": {
-                "eco:incremental": record["incremental_seconds"],
-                "eco:cold_replay": record["cold_seconds"],
-            },
-            "worker_phases": {},
+        record["incremental_seconds"],
+        phases={
+            "eco:incremental": record["incremental_seconds"],
+            "eco:cold_replay": record["cold_seconds"],
         },
-        "convergence": {},
-        "eco": {
+        convergence={},
+        eco={
             "epoch": report.epoch,
             "num_edits": report.num_edits,
             "edit_digest": report.edit_digest,
@@ -194,7 +187,7 @@ def _ledger_entry(
             "digest": record["digest"],
             "speedup": record["speedup"],
         },
-    }
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

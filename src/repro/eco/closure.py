@@ -17,7 +17,6 @@ trace span whose children are the round's dirty-partition solves.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -25,7 +24,7 @@ from repro.core.engine import CPLAConfig, CPLAEngine
 from repro.eco.edits import EcoEdit
 from repro.eco.engine import EcoEngine, EcoReport
 from repro.obs import tracer
-from repro.obs.ledger import SCHEMA, append_entry, fingerprint
+from repro.obs.ledger import append_entry, make_entry
 from repro.utils import get_logger
 
 log = get_logger(__name__)
@@ -97,13 +96,9 @@ def round_entry(
     trace: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One ``closure:<method>`` run-ledger entry for one ECO round."""
-    entry: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "benchmark": report.benchmark,
-        "method": f"closure:{config.method}",
-        "critical_ratio": config.critical_ratio,
-        "fingerprint": fingerprint({
+    return make_entry(
+        report.benchmark, f"closure:{config.method}", config.critical_ratio,
+        {
             "scale": config.scale,
             "critical_ratio": config.critical_ratio,
             "workers": config.workers,
@@ -111,8 +106,8 @@ def round_entry(
             "release_k": config.release_k,
             "max_rounds": config.max_rounds,
             "min_gain": config.min_gain,
-        }),
-        "quality": {
+        },
+        {
             "initial_avg_tcp": report.pre_avg_tcp,
             "final_avg_tcp": report.post_avg_tcp,
             "initial_max_tcp": report.pre_max_tcp,
@@ -122,13 +117,9 @@ def round_entry(
             "initial_vias": grid.total_vias(),
             "final_vias": grid.total_vias(),
         },
-        "runtime": {
-            "total_seconds": round(report.seconds, 4),
-            "phases": {},
-            "worker_phases": {},
-        },
-        "convergence": {},
-        "eco": {
+        report.seconds,
+        convergence={},
+        eco={
             "round": round_index,
             "epoch": report.epoch,
             "num_edits": report.num_edits,
@@ -140,10 +131,8 @@ def round_entry(
             "accepted": report.accepted,
             "digest": report.digest,
         },
-    }
-    if trace:
-        entry["trace"] = trace
-    return entry
+        trace=trace or None,
+    )
 
 
 def run_closure(

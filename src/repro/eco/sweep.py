@@ -14,13 +14,12 @@ a ``sweep`` section (knobs + frontier flag), so ``repro obs show`` and
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.engine import CPLAConfig, CPLAEngine
 from repro.obs import tracer
-from repro.obs.ledger import SCHEMA, append_entry, fingerprint
+from repro.obs.ledger import append_entry, make_entry
 from repro.utils import get_logger
 
 log = get_logger(__name__)
@@ -116,19 +115,15 @@ def _point_entry(
     grid,
     trace: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "benchmark": config.benchmark,
-        "method": f"sweep:{config.method}",
-        "critical_ratio": point.knobs["ratio"],
-        "fingerprint": fingerprint({
+    return make_entry(
+        config.benchmark, f"sweep:{config.method}", point.knobs["ratio"],
+        {
             "scale": config.scale,
             "workers": config.workers,
             "exec_backend": config.exec_backend,
             **point.knobs,
-        }),
-        "quality": {
+        },
+        {
             "initial_avg_tcp": point.initial_avg_tcp,
             "final_avg_tcp": point.final_avg_tcp,
             "initial_max_tcp": point.initial_max_tcp,
@@ -138,22 +133,16 @@ def _point_entry(
             "initial_vias": grid.total_vias(),
             "final_vias": grid.total_vias(),
         },
-        "runtime": {
-            "total_seconds": round(point.seconds, 4),
-            "phases": {},
-            "worker_phases": {},
-        },
-        "convergence": {},
-        "sweep": {
+        point.seconds,
+        convergence={},
+        sweep={
             "point": index,
             "points": total,
             "knobs": dict(point.knobs),
             "pareto": point.pareto,
         },
-    }
-    if trace:
-        entry["trace"] = trace
-    return entry
+        trace=trace or None,
+    )
 
 
 def run_sweep(

@@ -27,7 +27,7 @@ import platform
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import convergence
 
@@ -67,6 +67,67 @@ def fingerprint(config: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     }
 
 
+def make_entry(
+    benchmark: str,
+    method: str,
+    critical_ratio: float,
+    config: Optional[Dict[str, Any]],
+    quality: Dict[str, Any],
+    seconds: float,
+    phases: Mapping[str, float] = {},
+    worker_phases: Optional[Mapping[str, float]] = {},
+    **sections: Any,
+) -> Dict[str, Any]:
+    """One ledger entry: the envelope every writer shares, then its sections.
+
+    The envelope is the run's identity (``benchmark``, ``method``,
+    ``critical_ratio``, the :func:`fingerprint` of ``config``), its
+    quality block and its runtime block (``seconds`` and the phase clocks,
+    rounded to 0.1 ms; ``worker_phases=None`` leaves that key out).  Each
+    keyword in ``sections`` becomes one more top-level key, in order;
+    sections given as ``None`` are left out.
+    """
+    runtime: Dict[str, Any] = {
+        "total_seconds": round(seconds, 4),
+        "phases": _rounded(phases),
+    }
+    if worker_phases is not None:
+        runtime["worker_phases"] = _rounded(worker_phases)
+    entry: Dict[str, Any] = {
+        "schema": SCHEMA,
+        "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "benchmark": benchmark,
+        "method": method,
+        "critical_ratio": critical_ratio,
+        "fingerprint": fingerprint(config),
+        "quality": quality,
+        "runtime": runtime,
+    }
+    entry.update(
+        (name, section) for name, section in sections.items()
+        if section is not None
+    )
+    return entry
+
+
+def _rounded(phases: Mapping[str, float]) -> Dict[str, float]:
+    return {k: round(float(v), 4) for k, v in sorted(phases.items())}
+
+
+def run_quality(report: Any) -> Dict[str, Any]:
+    """The quality block of a :class:`~repro.analysis.runreport.RunReport`."""
+    return {
+        "initial_avg_tcp": report.initial_avg_tcp,
+        "final_avg_tcp": report.final_avg_tcp,
+        "initial_max_tcp": report.initial_max_tcp,
+        "final_max_tcp": report.final_max_tcp,
+        "initial_via_overflow": report.initial_via_overflow,
+        "final_via_overflow": report.final_via_overflow,
+        "initial_vias": report.initial_vias,
+        "final_vias": report.final_vias,
+    }
+
+
 def build_entry(
     report: Any,
     config: Optional[Dict[str, Any]] = None,
@@ -79,46 +140,17 @@ def build_entry(
     "file": ...}``) so an ``obs check`` failure points straight at the
     span tree of the offending run.
     """
-    entry: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "benchmark": report.benchmark,
-        "method": report.method,
-        "critical_ratio": report.critical_ratio,
-        "fingerprint": fingerprint(config),
-        "quality": {
-            "initial_avg_tcp": report.initial_avg_tcp,
-            "final_avg_tcp": report.final_avg_tcp,
-            "initial_max_tcp": report.initial_max_tcp,
-            "final_max_tcp": report.final_max_tcp,
-            "initial_via_overflow": report.initial_via_overflow,
-            "final_via_overflow": report.final_via_overflow,
-            "initial_vias": report.initial_vias,
-            "final_vias": report.final_vias,
-        },
-        "runtime": {
-            "total_seconds": round(report.runtime, 4),
-            "phases": {
-                k: round(v, 4) for k, v in sorted(report.clock.totals.items())
-            },
-            "worker_phases": {
-                k: round(v, 4)
-                for k, v in sorted(report.worker_clock.totals.items())
-            },
-        },
-        "convergence": convergence.summarize(report.convergence),
-    }
-    scheduler = getattr(report, "scheduler", None)
-    if scheduler:
-        entry["scheduler"] = scheduler
-    router = getattr(report, "router", None)
-    if router:
-        entry["router"] = router
-    if label:
-        entry["label"] = label
-    if trace:
-        entry["trace"] = trace
-    return entry
+    return make_entry(
+        report.benchmark, report.method, report.critical_ratio, config,
+        run_quality(report), report.runtime,
+        phases=report.clock.totals,
+        worker_phases=report.worker_clock.totals,
+        convergence=convergence.summarize(report.convergence),
+        scheduler=getattr(report, "scheduler", None) or None,
+        router=getattr(report, "router", None) or None,
+        label=label or None,
+        trace=trace or None,
+    )
 
 
 def append_entry(path: str, entry: Dict[str, Any]) -> None:

@@ -590,14 +590,63 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
         )
 
     load_seconds = measured["load_seconds"]
-    entry: Dict[str, Any] = {
-        "schema": run_ledger.SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "benchmark": cfg.benchmark,
+    serving: Dict[str, Any] = {
+        "latency_ms": {
+            "p50": round(percentile(latencies, 0.50), 3),
+            "p95": round(percentile(latencies, 0.95), 3),
+            "p99": round(percentile(latencies, 0.99), 3),
+            "mean": round(statistics.fmean(latencies), 3) if latencies else 0.0,
+            "max": round(max(latencies), 3) if latencies else 0.0,
+        },
+        "first_request_ms": round(cold_ms, 3),
+        "warm_request_ms": round(warm_ms, 3),
+        "warm_speedup": round(cold_ms / warm_ms, 4) if warm_ms else 0.0,
+        "throughput_qps": (
+            round(result.ok / load_seconds, 3) if load_seconds else 0.0
+        ),
+        "target_qps": cfg.qps,
+        "requests": {
+            "sent": cfg.requests,
+            "ok": result.ok,
+            "rejected_429": result.rejected,
+            "errors": result.errors,
+            "deduped": deduped,
+        },
+        "queue_depth": {
+            "p50": percentile(depths, 0.50),
+            "p95": percentile(depths, 0.95),
+            "max": max(depths) if depths else 0.0,
+        },
+        "digest_consistent": result.consistent,
+        "verified_against_run": result.verified,
+    }
+    if eco_stats is not None:
+        serving["eco"] = eco_stats
+    if fleet_stats is not None:
+        serving["fleet"] = fleet_stats
+    elif delta:
+        # A resident runs the engine for its first assign and every ECO
+        # apply only; every other request answers from its solved state.
+        serving["engine_runs"] = int(delta["engine.runs"])
+    # Trace linkage: the slowest load request is the one `obs check`
+    # failures most want explained, so it is the entry's primary trace id.
+    cold_trace = (
+        cold_payload.get("trace_id") if isinstance(cold_payload, dict) else None
+    )
+    trace: Optional[Dict[str, Any]] = None
+    if trace_info is not None or cold_trace is not None:
+        trace = {
+            **(trace_info or {}),
+            "trace_id": slowest[1] or cold_trace,
+            "cold_trace_id": cold_trace,
+            "slowest_ms": round(slowest[0], 3) if slowest[1] else None,
+        }
+    result.entry = run_ledger.make_entry(
+        cfg.benchmark,
         # Prefixed so serve entries only ever gate against serve baselines.
-        "method": cfg.ledger_method,
-        "critical_ratio": cfg.ratio_percent / 100.0,
-        "fingerprint": run_ledger.fingerprint({
+        cfg.ledger_method,
+        cfg.ratio_percent / 100.0,
+        {
             "benchmark": cfg.benchmark,
             "scale": cfg.scale,
             "ratio_percent": cfg.ratio_percent,
@@ -607,67 +656,14 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
             "qps": cfg.qps,
             "requests": cfg.requests,
             "concurrency": cfg.concurrency,
-        }),
-        "quality": dict(cold_payload.get("quality", {})),
-        "runtime": {
-            "total_seconds": round(load_seconds, 4),
-            "phases": {
-                k: round(float(v), 4)
-                for k, v in cold_payload.get("phases", {}).items()
-            },
         },
-        "serving": {
-            "latency_ms": {
-                "p50": round(percentile(latencies, 0.50), 3),
-                "p95": round(percentile(latencies, 0.95), 3),
-                "p99": round(percentile(latencies, 0.99), 3),
-                "mean": round(statistics.fmean(latencies), 3) if latencies else 0.0,
-                "max": round(max(latencies), 3) if latencies else 0.0,
-            },
-            "first_request_ms": round(cold_ms, 3),
-            "warm_request_ms": round(warm_ms, 3),
-            "warm_speedup": round(cold_ms / warm_ms, 4) if warm_ms else 0.0,
-            "throughput_qps": (
-                round(result.ok / load_seconds, 3) if load_seconds else 0.0
-            ),
-            "target_qps": cfg.qps,
-            "requests": {
-                "sent": cfg.requests,
-                "ok": result.ok,
-                "rejected_429": result.rejected,
-                "errors": result.errors,
-                "deduped": deduped,
-            },
-            "queue_depth": {
-                "p50": percentile(depths, 0.50),
-                "p95": percentile(depths, 0.95),
-                "max": max(depths) if depths else 0.0,
-            },
-            "digest_consistent": result.consistent,
-            "verified_against_run": result.verified,
-        },
-    }
-    if eco_stats is not None:
-        entry["serving"]["eco"] = eco_stats
-    if fleet_stats is not None:
-        entry["serving"]["fleet"] = fleet_stats
-    elif delta:
-        # A resident runs the engine for its first assign and every ECO
-        # apply only; every other request answers from its solved state.
-        entry["serving"]["engine_runs"] = int(delta["engine.runs"])
-    # Trace linkage: the slowest load request is the one `obs check`
-    # failures most want explained, so it is the entry's primary trace id.
-    cold_trace = (
-        cold_payload.get("trace_id") if isinstance(cold_payload, dict) else None
+        dict(cold_payload.get("quality", {})),
+        load_seconds,
+        phases=cold_payload.get("phases", {}),
+        worker_phases=None,
+        serving=serving,
+        trace=trace,
     )
-    if trace_info is not None or cold_trace is not None:
-        entry["trace"] = {
-            **(trace_info or {}),
-            "trace_id": slowest[1] or cold_trace,
-            "cold_trace_id": cold_trace,
-            "slowest_ms": round(slowest[0], 3) if slowest[1] else None,
-        }
-    result.entry = entry
     return result
 
 
