@@ -53,6 +53,7 @@ from repro.ispd.request import EXEC_BACKENDS
 from repro.ispd.suite import SUITE, spec_for
 from repro.ispd.synthetic import generate
 from repro.ispd.writer import write_ispd08
+from repro.obs import ledger as run_ledger
 from repro.pipeline import compare, prepare, run_method
 from repro.utils.logging import configure_cli_logging
 
@@ -452,65 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--baseline", required=True,
         help="baseline ledger; the latest entry matching the current "
-             "benchmark+method is compared",
+             "benchmark+method (and ECO edit size and closure round) is "
+             "compared",
     )
     p_check.add_argument("--entry", type=int, default=-1)
-    p_check.add_argument(
-        "--max-avg-tcp-regression", type=float, default=0.02, metavar="FRAC",
-        help="max tolerated relative final Avg(Tcp) increase (default 0.02)",
-    )
-    p_check.add_argument(
-        "--max-max-tcp-regression", type=float, default=0.05, metavar="FRAC",
-        help="max tolerated relative final Max(Tcp) increase (default 0.05)",
-    )
-    p_check.add_argument(
-        "--max-iterations-regression", type=float, default=0.5, metavar="FRAC",
-        help="max tolerated relative solver-iterations-p90 increase (default 0.5)",
-    )
-    p_check.add_argument(
-        "--max-nonconverged-increase", type=float, default=0.10, metavar="FRAC",
-        help="max tolerated absolute increase of the non-converged partition "
-             "fraction (default 0.10)",
-    )
-    p_check.add_argument(
-        "--max-runtime-regression", type=float, default=None, metavar="FRAC",
-        help="max tolerated relative runtime increase (default: not gated — "
-             "wall-clock is machine-dependent)",
-    )
-    p_check.add_argument(
-        "--max-serve-p95-regression", type=float, default=None, metavar="FRAC",
-        help="max tolerated relative serving p95 latency increase for "
-             "bench-serve entries (default: not gated)",
-    )
-    p_check.add_argument(
-        "--min-warm-speedup", type=float, default=None, metavar="X",
-        help="fail unless the current bench-serve entry's cold/warm "
-             "latency ratio is at least X (default: not gated)",
-    )
-    p_check.add_argument(
-        "--max-via-overflow-increase", type=float, default=None, metavar="N",
-        help="max tolerated absolute increase of final via overflow "
-             "(default: not gated; 0 means 'no worse than baseline')",
-    )
-    p_check.add_argument(
-        "--max-dirty-fraction", type=float, default=None, metavar="FRAC",
-        help="fail when the current ECO entry re-solved more than this "
-             "fraction of its partition leaves (absolute ceiling on "
-             "eco.dirty_fraction; default: not gated)",
-    )
-    p_check.add_argument(
-        "--min-cache-hit-rate", type=float, default=None, metavar="FRAC",
-        help="fail unless the current fleet entry's gateway cache hit "
-             "rate is at least FRAC (absolute floor on "
-             "serving.fleet.cache_hit_rate; default: not gated)",
-    )
-    p_check.add_argument(
-        "--max-failover-cold-starts", type=float, default=None, metavar="N",
-        help="fail when the current fleet entry counts more than N "
-             "failover cold starts (absolute ceiling on "
-             "serving.fleet.failover_cold_starts; 0 means every failover "
-             "must seed warm from a replica; default: not gated)",
-    )
+    for field in run_ledger.GATED:
+        p_check.add_argument(
+            field.gate.flag, type=float, default=field.gate.default,
+            metavar="BOUND", help=field.help,
+        )
     p_check.add_argument("-v", "--verbose", action="store_true")
 
     p_trace = obs_sub.add_parser(
@@ -800,8 +751,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs import ledger as run_ledger
-
     if args.obs_command == "trace":
         return _cmd_obs_trace(args)
     try:
@@ -837,20 +786,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"obs {args.obs_command}: {exc}", file=sys.stderr)
         return 2
-    thresholds = run_ledger.CheckThresholds(
-        avg_tcp=args.max_avg_tcp_regression,
-        max_tcp=args.max_max_tcp_regression,
-        iterations_p90=args.max_iterations_regression,
-        nonconverged_fraction=args.max_nonconverged_increase,
-        runtime=args.max_runtime_regression,
-        serve_p95_latency=args.max_serve_p95_regression,
-        min_warm_speedup=args.min_warm_speedup,
-        via_overflow_increase=args.max_via_overflow_increase,
-        max_dirty_fraction=args.max_dirty_fraction,
-        min_cache_hit_rate=args.min_cache_hit_rate,
-        max_failover_cold_starts=args.max_failover_cold_starts,
-    )
-    violations = run_ledger.check_entries(baseline, current, thresholds)
+    violations = run_ledger.check_entries(baseline, current, vars(args))
     label = f"{current.get('benchmark')}/{current.get('method')}"
     if violations:
         print(f"obs check FAILED for {label}:", file=sys.stderr)
@@ -1079,7 +1015,6 @@ def _dist_listen_args(args: argparse.Namespace, command: str):
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.obs import ledger as run_ledger
     from repro.service import LoadGenConfig, render_summary, run_loadgen
 
     dist_listen, dist_authkey, code = _dist_listen_args(args, "bench-serve")

@@ -380,50 +380,140 @@ def render_entry(entry: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-_DIFF_FIELDS = (
-    ("final Avg(Tcp)", ("quality", "final_avg_tcp")),
-    ("final Max(Tcp)", ("quality", "final_max_tcp")),
-    ("final via overflow", ("quality", "final_via_overflow")),
-    ("final via count", ("quality", "final_vias")),
-    ("runtime seconds", ("runtime", "total_seconds")),
-    ("solver iterations p50", ("convergence", "solves", "iterations", "p50")),
-    ("solver iterations p90", ("convergence", "solves", "iterations", "p90")),
-    ("non-converged partitions", ("convergence", "partitions", "nonconverged")),
-    ("overflow events", ("convergence", "partitions", "overflow_events")),
+# Gate kinds.  A relative gate bounds ``current / baseline - 1`` and an
+# increase gate ``current - baseline``; both skip a field that either
+# entry lacks.  A floor or a ceiling bounds the current entry's value
+# alone and needs no baseline, so a current entry without the field
+# violates it.
+RELATIVE, INCREASE, FLOOR, CEILING = "relative", "increase", "floor", "ceiling"
+
+
+@dataclass(frozen=True)
+class Gate:
+    """How ``repro obs check`` bounds one field.
+
+    ``flag`` is the option that sets the bound and ``default`` the bound
+    without it (``None``: not gated).  ``missing`` is the reason a floor
+    or ceiling gives when the current entry lacks the field.
+    """
+
+    flag: str
+    kind: str
+    default: Optional[float] = None
+    missing: str = ""
+
+    @property
+    def dest(self) -> str:
+        """The key of the gate's bound: the flag's argparse destination."""
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Field:
+    """One numeric entry field that ``obs diff`` shows and ``obs check``
+    gates when the row has a gate.  A row with ``per`` is derived, the
+    share ``path / per``; only its gate reads it."""
+
+    label: str
+    path: Tuple[str, ...]
+    gate: Optional[Gate] = None
+    per: Optional[Tuple[str, ...]] = None
+
+    def value(self, entry: Dict[str, Any]) -> Optional[float]:
+        value = _lookup(entry, self.path)
+        if self.per is None or value is None:
+            return value
+        whole = _lookup(entry, self.per)
+        return value / whole if whole else None
+
+    @property
+    def where(self) -> str:
+        """The row's path in an entry, dotted."""
+        where = ".".join(self.path)
+        return where if self.per is None else f"{where} / {'.'.join(self.per)}"
+
+    @property
+    def help(self) -> str:
+        """The ``obs check --help`` text of the row's gate."""
+        where = f"{self.label} ({self.where})"
+        what = {
+            RELATIVE: f"max tolerated relative increase of {where}",
+            INCREASE: f"max tolerated absolute increase of {where}",
+            FLOOR: f"fail unless the current entry's {where} is at least BOUND",
+            CEILING: f"fail when the current entry's {where} exceeds BOUND",
+        }[self.gate.kind]
+        default = self.gate.default
+        return f"{what} (default: {'not gated' if default is None else default})"
+
+
+FIELDS = (
+    Field("final Avg(Tcp)", ("quality", "final_avg_tcp"),
+          Gate("--max-avg-tcp-regression", RELATIVE, 0.02)),
+    Field("final Max(Tcp)", ("quality", "final_max_tcp"),
+          Gate("--max-max-tcp-regression", RELATIVE, 0.05)),
+    # An increase, not a ratio: healthy runs sit at exactly 0, where a
+    # relative bound can never fire.
+    Field("final via overflow", ("quality", "final_via_overflow"),
+          Gate("--max-via-overflow-increase", INCREASE)),
+    Field("final via count", ("quality", "final_vias")),
+    # Wall-clock is not comparable across machines; CI opts in generously.
+    Field("runtime seconds", ("runtime", "total_seconds"),
+          Gate("--max-runtime-regression", RELATIVE)),
+    Field("solver iterations p50", ("convergence", "solves", "iterations", "p50")),
+    Field("solver iterations p90", ("convergence", "solves", "iterations", "p90"),
+          Gate("--max-iterations-regression", RELATIVE, 0.5)),
+    Field("non-converged partitions", ("convergence", "partitions", "nonconverged")),
+    Field("non-converged partition fraction",
+          ("convergence", "partitions", "nonconverged"),
+          Gate("--max-nonconverged-increase", INCREASE, 0.10),
+          per=("convergence", "partitions", "count")),
+    Field("overflow events", ("convergence", "partitions", "overflow_events")),
     # Dist-fabric runs (``--exec dist``): absent from pool/sequential runs.
-    ("dist retries", ("scheduler", "retries")),
-    ("dist steals", ("scheduler", "steals")),
-    ("dist stragglers", ("scheduler", "stragglers")),
+    Field("dist retries", ("scheduler", "retries")),
+    Field("dist steals", ("scheduler", "steals")),
+    Field("dist stragglers", ("scheduler", "stragglers")),
     # Batched runs (``--exec batch``): absent from every other backend.
-    ("batch bucket solves", ("scheduler", "bucket_solves")),
-    ("batch lockstep iters", ("scheduler", "batched_iterations")),
-    ("batch frozen fraction", ("scheduler", "frozen_fraction")),
+    Field("batch bucket solves", ("scheduler", "bucket_solves")),
+    Field("batch lockstep iters", ("scheduler", "batched_iterations")),
+    Field("batch frozen fraction", ("scheduler", "frozen_fraction")),
     # Router observability (filled by pipeline.prepare): regressions here
     # mean the 2-D routing phase itself got worse, not the optimizer.
-    ("router maze aborts", ("router", "maze_aborts")),
-    ("router reroute rounds", ("router", "reroute_rounds")),
-    ("router final overflow", ("router", "final_overflow")),
+    Field("router maze aborts", ("router", "maze_aborts")),
+    Field("router reroute rounds", ("router", "reroute_rounds")),
+    Field("router final overflow", ("router", "final_overflow")),
     # Serving entries (``repro bench-serve``): absent from solve runs, and
-    # _lookup simply skips missing paths.
-    ("serve p50 latency ms", ("serving", "latency_ms", "p50")),
-    ("serve p95 latency ms", ("serving", "latency_ms", "p95")),
-    ("serve throughput qps", ("serving", "throughput_qps")),
-    ("serve warm speedup", ("serving", "warm_speedup")),
-    ("serve engine runs", ("serving", "engine_runs")),
+    # _lookup simply skips missing paths.  p95 latency shares runtime's
+    # caveat; the warm speedup (cold / warm latency) proves resident warm
+    # state is being reused.
+    Field("serve p50 latency ms", ("serving", "latency_ms", "p50")),
+    Field("serve p95 latency ms", ("serving", "latency_ms", "p95"),
+          Gate("--max-serve-p95-regression", RELATIVE)),
+    Field("serve throughput qps", ("serving", "throughput_qps")),
+    Field("serve warm speedup", ("serving", "warm_speedup"),
+          Gate("--min-warm-speedup", FLOOR, missing="not a bench-serve entry?")),
+    Field("serve engine runs", ("serving", "engine_runs")),
     # Fleet entries (``repro bench-serve --gateway``): gateway-level
-    # behaviour of the sharded topology.
-    ("fleet cache hit rate", ("serving", "fleet", "cache_hit_rate")),
-    ("fleet failovers", ("serving", "fleet", "failovers")),
-    ("fleet cold starts", ("serving", "fleet", "failover_cold_starts")),
-    ("fleet replica seeds", ("serving", "fleet", "replica_seeds")),
-    ("fleet engine runs", ("serving", "fleet", "engine_runs")),
+    # behaviour of the sharded topology.  Idempotent repeats that reach
+    # solvers mean a broken cache; a failover that cannot seed from the
+    # replica stream starts cold.
+    Field("fleet cache hit rate", ("serving", "fleet", "cache_hit_rate"),
+          Gate("--min-cache-hit-rate", FLOOR, missing="not a fleet entry?")),
+    Field("fleet failovers", ("serving", "fleet", "failovers")),
+    Field("fleet cold starts", ("serving", "fleet", "failover_cold_starts"),
+          Gate("--max-failover-cold-starts", CEILING,
+               missing="not a fleet entry?")),
+    Field("fleet replica seeds", ("serving", "fleet", "replica_seeds")),
+    Field("fleet engine runs", ("serving", "fleet", "engine_runs")),
     # ECO entries (``repro closure`` rounds / eco_apply campaigns): the
     # dirty fraction is the cost of a round; rising means the dirtiness
-    # propagation got blunter.
-    ("eco dirty fraction", ("eco", "dirty_fraction")),
-    ("eco dirty leaves", ("eco", "dirty_leaves")),
-    ("eco released nets", ("eco", "released")),
+    # propagation got blunter, and an engine whose small edits dirty most
+    # of the design has lost its reason to exist.
+    Field("eco dirty fraction", ("eco", "dirty_fraction"),
+          Gate("--max-dirty-fraction", CEILING, missing="not an ECO entry?")),
+    Field("eco dirty leaves", ("eco", "dirty_leaves")),
+    Field("eco released nets", ("eco", "released")),
 )
+GATED = tuple(field for field in FIELDS if field.gate is not None)
 
 
 def _lookup(entry: Dict[str, Any], path) -> Optional[float]:
@@ -444,8 +534,10 @@ def diff_entries(a: Dict[str, Any], b: Dict[str, Any]) -> str:
         f"{b.get('method', '?')} commit {b.get('fingerprint', {}).get('commit', '?')}"
     )
     rows = [f"{'metric':<26} {'A':>12} {'B':>12} {'delta':>10}"]
-    for label, path in _DIFF_FIELDS:
-        va, vb = _lookup(a, path), _lookup(b, path)
+    for field in FIELDS:
+        if field.per is not None:  # derived shares are gate-only
+            continue
+        va, vb = field.value(a), field.value(b)
         if va is None and vb is None:
             continue
         sa = f"{va:g}" if va is not None else "-"
@@ -454,7 +546,7 @@ def diff_entries(a: Dict[str, Any], b: Dict[str, Any]) -> str:
             delta = f"{(vb / va - 1.0) * 100:+.1f}%"
         else:
             delta = "n/a"
-        rows.append(f"{label:<26} {sa:>12} {sb:>12} {delta:>10}")
+        rows.append(f"{field.label:<26} {sa:>12} {sb:>12} {delta:>10}")
     return header + "\n" + "\n".join(rows)
 
 
@@ -478,171 +570,52 @@ def trace_pointer(entry: Dict[str, Any]) -> Optional[str]:
 # -- regression gating ------------------------------------------------------
 
 
-@dataclass
-class CheckThresholds:
-    """Relative regression limits for ``repro obs check``.
-
-    ``None`` disables a dimension.  Runtime gating is off by default —
-    wall-clock is not comparable across machines; CI opts in with a
-    generous ``--max-runtime-regression``.
-    """
-
-    avg_tcp: Optional[float] = 0.02
-    max_tcp: Optional[float] = 0.05
-    iterations_p90: Optional[float] = 0.5
-    nonconverged_fraction: Optional[float] = 0.10  # absolute increase
-    runtime: Optional[float] = None
-    # Serving entries only (``repro bench-serve``).  p95 latency shares
-    # runtime's caveat (machine-dependent; CI opts in generously);
-    # ``min_warm_speedup`` is an absolute floor on the current entry's
-    # cold/warm latency ratio — it needs no baseline and proves resident
-    # warm state is actually being reused.
-    serve_p95_latency: Optional[float] = None
-    min_warm_speedup: Optional[float] = None
-    # Absolute increase limit on final via overflow (None = not gated).
-    # Gated absolutely because healthy runs sit at exactly 0, where a
-    # relative threshold can never fire.
-    via_overflow_increase: Optional[float] = None
-    # ECO entries only: absolute ceiling on the current entry's
-    # eco.dirty_fraction — the share of partitions an edit re-solved.  An
-    # incremental engine whose small edits dirty most of the design has
-    # lost its reason to exist, so CI pins the fraction directly rather
-    # than relative to a baseline.
-    max_dirty_fraction: Optional[float] = None
-    # Fleet entries only (``repro bench-serve --gateway``), both absolute:
-    # a floor on the gateway's cache hit rate (a fleet whose idempotent
-    # repeats reach solvers has a broken cache), and a ceiling on failover
-    # cold starts (a failover that cannot seed from the replica stream
-    # lost the warm-failover property the tier exists for).
-    min_cache_hit_rate: Optional[float] = None
-    max_failover_cold_starts: Optional[float] = None
-
-
 def check_entries(
     baseline: Dict[str, Any],
     current: Dict[str, Any],
-    thresholds: Optional[CheckThresholds] = None,
+    bounds: Optional[Mapping[str, Optional[float]]] = None,
 ) -> List[str]:
-    """Regressions of ``current`` vs ``baseline`` past the thresholds.
+    """Violations of ``current`` against ``baseline`` past the gates' bounds.
 
-    Returns human-readable violation strings (empty == gate passes).
-    Benchmark/method identity is the caller's concern (see
-    :func:`match_baseline`).
+    ``bounds`` maps a gate's :attr:`Gate.dest` (``max_avg_tcp_regression``
+    ...) to its bound, ``None`` turning the gate off; a gate it does not
+    name keeps its default.  Returns human-readable violation strings
+    (empty == gate passes).  Benchmark/method identity is the caller's
+    concern (see :func:`match_baseline`).
     """
-    thr = thresholds or CheckThresholds()
+    bounds = bounds or {}
     violations: List[str] = []
-
-    def gate(label: str, path, limit: Optional[float]) -> None:
-        if limit is None:
-            return
-        base, cur = _lookup(baseline, path), _lookup(current, path)
-        if base is None or cur is None or base <= 0:
-            return
-        rel = cur / base - 1.0
-        if rel > limit:
-            violations.append(
-                f"{label} regressed {rel:+.1%} (limit {limit:+.1%}): "
-                f"{base:g} -> {cur:g}"
-            )
-
-    gate("final Avg(Tcp)", ("quality", "final_avg_tcp"), thr.avg_tcp)
-    gate("final Max(Tcp)", ("quality", "final_max_tcp"), thr.max_tcp)
-    gate("runtime", ("runtime", "total_seconds"), thr.runtime)
-    gate(
-        "solver iterations p90",
-        ("convergence", "solves", "iterations", "p90"),
-        thr.iterations_p90,
-    )
-    gate(
-        "serving p95 latency",
-        ("serving", "latency_ms", "p95"),
-        thr.serve_p95_latency,
-    )
-
-    if thr.min_warm_speedup is not None:
-        speedup = _lookup(current, ("serving", "warm_speedup"))
-        if speedup is None:
-            violations.append(
-                "warm-speedup gate requested but the current entry has no "
-                "serving.warm_speedup (not a bench-serve entry?)"
-            )
-        elif speedup < thr.min_warm_speedup:
-            violations.append(
-                f"serving warm speedup {speedup:.2f}x is below the "
-                f"{thr.min_warm_speedup:.2f}x floor (resident warm state "
-                "not being reused?)"
-            )
-
-    if thr.max_dirty_fraction is not None:
-        fraction = _lookup(current, ("eco", "dirty_fraction"))
-        if fraction is None:
-            violations.append(
-                "dirty-fraction gate requested but the current entry has no "
-                "eco.dirty_fraction (not an ECO entry?)"
-            )
-        elif fraction > thr.max_dirty_fraction:
-            violations.append(
-                f"eco dirty fraction {fraction:.1%} exceeds the "
-                f"{thr.max_dirty_fraction:.1%} ceiling (edits are dirtying "
-                "most of the design)"
-            )
-
-    if thr.min_cache_hit_rate is not None:
-        rate = _lookup(current, ("serving", "fleet", "cache_hit_rate"))
-        if rate is None:
-            violations.append(
-                "cache-hit-rate gate requested but the current entry has no "
-                "serving.fleet.cache_hit_rate (not a fleet entry?)"
-            )
-        elif rate < thr.min_cache_hit_rate:
-            violations.append(
-                f"fleet cache hit rate {rate:.1%} is below the "
-                f"{thr.min_cache_hit_rate:.1%} floor (idempotent repeats "
-                "are reaching solvers)"
-            )
-
-    if thr.max_failover_cold_starts is not None:
-        cold = _lookup(current, ("serving", "fleet", "failover_cold_starts"))
-        if cold is None:
-            violations.append(
-                "failover-cold-start gate requested but the current entry "
-                "has no serving.fleet.failover_cold_starts (not a fleet "
-                "entry?)"
-            )
-        elif cold > thr.max_failover_cold_starts:
-            violations.append(
-                f"fleet failover cold starts {cold:g} exceed the "
-                f"{thr.max_failover_cold_starts:g} ceiling (replica "
-                "seeding is not keeping failover warm)"
-            )
-
-    if thr.via_overflow_increase is not None:
-        base_v = _lookup(baseline, ("quality", "final_via_overflow"))
-        cur_v = _lookup(current, ("quality", "final_via_overflow"))
-        if (
-            base_v is not None
-            and cur_v is not None
-            and cur_v - base_v > thr.via_overflow_increase
-        ):
-            violations.append(
-                f"final via overflow rose {base_v:g} -> {cur_v:g} "
-                f"(limit +{thr.via_overflow_increase:g})"
-            )
-
-    if thr.nonconverged_fraction is not None:
-        def frac(entry: Dict[str, Any]) -> Optional[float]:
-            count = _lookup(entry, ("convergence", "partitions", "count"))
-            bad = _lookup(entry, ("convergence", "partitions", "nonconverged"))
-            if not count or bad is None:
-                return None
-            return bad / count
-
-        base_f, cur_f = frac(baseline), frac(current)
-        if base_f is not None and cur_f is not None:
-            if cur_f - base_f > thr.nonconverged_fraction:
+    for field in GATED:
+        gate = field.gate
+        bound = bounds.get(gate.dest, gate.default)
+        if bound is None:
+            continue
+        cur = field.value(current)
+        if gate.kind in (FLOOR, CEILING):
+            if cur is None:
                 violations.append(
-                    "non-converged partition fraction rose "
-                    f"{base_f:.1%} -> {cur_f:.1%} "
-                    f"(limit +{thr.nonconverged_fraction:.0%})"
+                    f"{gate.flag} requested but the current entry has no "
+                    f"{field.where} ({gate.missing})"
                 )
+            elif gate.kind == FLOOR and cur < bound:
+                violations.append(
+                    f"{field.label} {cur:g} is below the {bound:g} floor"
+                )
+            elif gate.kind == CEILING and cur > bound:
+                violations.append(
+                    f"{field.label} {cur:g} exceeds the {bound:g} ceiling"
+                )
+            continue
+        base = field.value(baseline)
+        if base is None or cur is None:
+            continue
+        if gate.kind == INCREASE and cur - base > bound:
+            violations.append(
+                f"{field.label} rose {base:g} -> {cur:g} (limit +{bound:g})"
+            )
+        elif gate.kind == RELATIVE and base > 0 and cur / base - 1.0 > bound:
+            violations.append(
+                f"{field.label} regressed {cur / base - 1.0:+.1%} "
+                f"(limit {bound:+.1%}): {base:g} -> {cur:g}"
+            )
     return violations

@@ -290,9 +290,9 @@ class TestLedger:
     def test_checked_in_eco_baseline_passes_against_itself(self):
         """CI eco-smoke's gate on a ledger equal to the baseline passes."""
         entries = ledger.read_entries(str(ECO_BASELINE))
-        thresholds = ledger.CheckThresholds(
-            runtime=4.0, max_dirty_fraction=0.75
-        )
+        thresholds = {
+            "max_runtime_regression": 4.0, "max_dirty_fraction": 0.75,
+        }
         for entry in entries:
             baseline = ledger.match_baseline(entries, entry)
             assert ledger.check_entries(baseline, entry, thresholds) == []
@@ -317,7 +317,7 @@ class TestLedger:
         slow["runtime"]["total_seconds"] = base["runtime"]["total_seconds"] * 10
         assert ledger.check_entries(base, slow) == []
         assert ledger.check_entries(
-            base, slow, ledger.CheckThresholds(runtime=0.5)
+            base, slow, {"max_runtime_regression": 0.5}
         ) != []
 
     def test_check_flags_nonconverged_fraction(self):

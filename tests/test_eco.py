@@ -298,11 +298,11 @@ class TestDirtyFractionGate:
 
     def test_gate_passes_under_ceiling(self):
         current = {**self.BASE, "eco": {"dirty_fraction": 0.2}}
-        thresholds = run_ledger.CheckThresholds(max_dirty_fraction=0.5)
+        thresholds = {"max_dirty_fraction": 0.5}
         assert run_ledger.check_entries(self.BASE, current, thresholds) == []
 
     def test_gate_fails_over_ceiling_and_on_non_eco_entries(self):
-        thresholds = run_ledger.CheckThresholds(max_dirty_fraction=0.5)
+        thresholds = {"max_dirty_fraction": 0.5}
         over = {**self.BASE, "eco": {"dirty_fraction": 0.8}}
         assert any(
             "dirty fraction" in v

@@ -525,7 +525,7 @@ def _fleet_entry(cache_hit_rate=0.9, cold_starts=0):
 
 class TestFleetGates:
     def test_cache_hit_rate_floor(self):
-        thr = run_ledger.CheckThresholds(min_cache_hit_rate=0.5)
+        thr = {"min_cache_hit_rate": 0.5}
         ok = run_ledger.check_entries(
             _fleet_entry(), _fleet_entry(cache_hit_rate=0.8), thr
         )
@@ -536,13 +536,13 @@ class TestFleetGates:
         assert any("cache hit rate" in v for v in bad)
 
     def test_cache_hit_rate_gate_requires_fleet_entry(self):
-        thr = run_ledger.CheckThresholds(min_cache_hit_rate=0.5)
+        thr = {"min_cache_hit_rate": 0.5}
         entry = {"quality": {"final_avg_tcp": 1.0}}
         bad = run_ledger.check_entries(entry, entry, thr)
         assert any("not a fleet entry" in v for v in bad)
 
     def test_failover_cold_start_ceiling(self):
-        thr = run_ledger.CheckThresholds(max_failover_cold_starts=0)
+        thr = {"max_failover_cold_starts": 0}
         ok = run_ledger.check_entries(
             _fleet_entry(), _fleet_entry(cold_starts=0), thr
         )
@@ -553,7 +553,7 @@ class TestFleetGates:
         assert any("cold starts" in v for v in bad)
 
     def test_gates_off_by_default(self):
-        thr = run_ledger.CheckThresholds()
+        thr = {}
         assert run_ledger.check_entries(
             _fleet_entry(), _fleet_entry(cache_hit_rate=0.0, cold_starts=9),
             thr,
@@ -664,9 +664,7 @@ class TestFleetEndToEnd:
         # for by a cache miss (or the verify/failover solves).
         assert fleet_block["engine_runs"] <= fleet_block["cache_misses"] + 2
 
-        thr = run_ledger.CheckThresholds(
-            min_cache_hit_rate=0.3, max_failover_cold_starts=0,
-        )
+        thr = {"min_cache_hit_rate": 0.3, "max_failover_cold_starts": 0}
         assert run_ledger.check_entries(
             result.entry, result.entry, thr
         ) == []

@@ -364,11 +364,11 @@ class TestLedgerRouterSection:
     def test_via_overflow_gate(self):
         base = run_ledger.build_entry(_report(final_via_overflow=0))
         worse = run_ledger.build_entry(_report(final_via_overflow=2))
-        thr = run_ledger.CheckThresholds(via_overflow_increase=0.0)
+        thr = {"max_via_overflow_increase": 0.0}
         assert run_ledger.check_entries(base, base, thr) == []
         violations = run_ledger.check_entries(base, worse, thr)
         assert violations and "via overflow" in violations[0]
         # Ungated by default: the same pair passes without the threshold.
         assert run_ledger.check_entries(
-            base, worse, run_ledger.CheckThresholds()
+            base, worse, {}
         ) == []
