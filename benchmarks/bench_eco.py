@@ -33,10 +33,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
-import subprocess
 import sys
 import time
 from typing import Any, Dict, List, Optional
@@ -47,6 +44,7 @@ from repro.core.engine import CPLAConfig, CPLAEngine
 from repro.eco.edits import EcoEdit
 from repro.eco.engine import EcoEngine, EcoReport, cold_replay_digest
 from repro.ispd.request import assignment_digest
+from repro.obs import harness
 from repro.obs.ledger import append_entry, make_entry
 from repro.pipeline import prepare
 
@@ -66,17 +64,6 @@ METHODOLOGY = (
 )
 
 
-def _git_commit() -> str:
-    try:
-        return subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            text=True,
-        ).strip()
-    except Exception:
-        return "unknown"
-
-
 def _edit_for(num_nets: int, size: int, factor: float) -> EcoEdit:
     """One resize edit touching ``size`` nets, spread over the id space."""
     if size >= num_nets:
@@ -87,23 +74,14 @@ def _edit_for(num_nets: int, size: int, factor: float) -> EcoEdit:
     return EcoEdit(op="net_resize", nets=nets, factor=factor)
 
 
-def run_one(
-    benchmark: str,
-    size: int,
-    scale: float,
-    ratio: float,
-    method: str,
-    workers: int,
-    exec_backend: str,
-    factor: float,
-) -> tuple:
+def run_one(size: int, args: argparse.Namespace) -> tuple:
     """Measure one edit size; returns (record, report)."""
-    bench = prepare(benchmark, scale=scale)
+    bench = prepare(args.benchmark, scale=args.scale)
     config = CPLAConfig(
-        method=method, critical_ratio=ratio / 100.0,
-        workers=workers, exec_backend=exec_backend,
+        method=args.method, critical_ratio=args.ratio / 100.0,
+        workers=args.workers, exec_backend=args.exec_backend,
     )
-    edit = _edit_for(bench.num_nets, size, factor)
+    edit = _edit_for(bench.num_nets, size, args.factor)
     with CPLAEngine(bench, config) as engine:
         baseline_start = time.perf_counter()
         engine.run()
@@ -116,8 +94,9 @@ def run_one(
 
     cold_start = time.perf_counter()
     cold_digest = cold_replay_digest(
-        benchmark, ((edit,),), scale=scale, critical_ratio=ratio / 100.0,
-        workers=workers, exec_backend=exec_backend,
+        args.benchmark, ((edit,),), scale=args.scale,
+        critical_ratio=args.ratio / 100.0,
+        workers=args.workers, exec_backend=args.exec_backend,
     )
     cold_seconds = time.perf_counter() - cold_start
 
@@ -191,18 +170,13 @@ def _ledger_entry(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="snapshot label (baseline/current)")
-    parser.add_argument("--out", default="BENCH_eco.json")
-    parser.add_argument("--benchmark", default="adaptec1")
-    parser.add_argument("--scale", type=float, default=3.0)
-    parser.add_argument("--ratio", type=float, default=0.5, help="critical ratio in percent")
-    parser.add_argument("--method", default="sdp", choices=["sdp", "ilp"])
-    parser.add_argument("--workers", type=int, default=0)
-    parser.add_argument(
-        "--exec", dest="exec_backend", default="seq",
-        choices=["seq", "pool", "dist", "batch"],
+    parser = harness.parser(
+        __doc__.splitlines()[0], out="BENCH_eco.json", scale=3.0,
+        exec_backend="seq",
+        check="CI smoke mode: fail on any digest divergence or if the "
+              "smallest edit's incremental speedup misses --min-speedup",
     )
+    parser.add_argument("--benchmark", default="adaptec1")
     parser.add_argument("--edit-sizes", default=DEFAULT_EDIT_SIZES)
     parser.add_argument(
         "--factor", type=float, default=1.25,
@@ -216,11 +190,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--min-speedup", type=float, default=3.0, metavar="X",
         help="--check fails unless the smallest edit clears this speedup",
     )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI smoke mode: fail on any digest divergence or if the "
-             "smallest edit's incremental speedup misses --min-speedup",
-    )
     args = parser.parse_args(argv)
     try:
         sizes = sorted({int(s) for s in args.edit_sizes.split(",") if s.strip()})
@@ -231,48 +200,28 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     records: List[Dict[str, Any]] = []
     for size in sizes:
-        record, report = run_one(
-            args.benchmark, size, args.scale, args.ratio, args.method,
-            args.workers, args.exec_backend, args.factor,
-        )
+        record, report = run_one(size, args)
         records.append(record)
         if args.ledger:
             append_entry(args.ledger, _ledger_entry(args, record, report))
 
-    snapshot = {
-        "label": args.label,
-        "commit": _git_commit(),
-        "python": platform.python_version(),
-        "suite": {
+    harness.write_snapshot(
+        args, BENCH_SCHEMA,
+        {
             "benchmark": args.benchmark,
-            "scale": args.scale,
-            "ratio_percent": args.ratio,
-            "method": args.method,
-            "workers": args.workers,
-            "exec": args.exec_backend,
+            **harness.suite(args),
             "edit_sizes": sizes,
             "resize_factor": args.factor,
         },
-        "single_net_speedup": next(
-            (r["speedup"] for r in records if r["edit_size"] == min(sizes)), 0.0
-        ),
-        "edits": records,
-    }
-
-    data = {"schema": BENCH_SCHEMA, "methodology": METHODOLOGY, "runs": {}}
-    if os.path.exists(args.out):
-        try:
-            with open(args.out, "r", encoding="utf-8") as fh:
-                existing = json.load(fh)
-            if existing.get("schema") == BENCH_SCHEMA:
-                data = existing
-        except (OSError, ValueError):
-            pass
-    data.setdefault("runs", {})[args.label] = snapshot
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.label} snapshot to {args.out}")
+        {
+            "single_net_speedup": next(
+                (r["speedup"] for r in records if r["edit_size"] == min(sizes)),
+                0.0,
+            ),
+            "edits": records,
+        },
+        methodology=METHODOLOGY,
+    )
 
     if args.check:
         bad = []

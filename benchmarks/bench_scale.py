@@ -35,11 +35,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
-import platform
-import subprocess
 import sys
 import tempfile
 import time
@@ -51,7 +48,8 @@ from repro.core.engine import CPLAConfig
 from repro.ispd.parser import parse_ispd08
 from repro.ispd.suite import load_benchmark
 from repro.ispd.writer import write_ispd08
-from repro.obs import metrics
+from repro.obs import harness, metrics
+from repro.obs import ledger as run_ledger
 from repro.pipeline import run_method
 from repro.route.assignment import InitialAssigner
 from repro.route.router import GlobalRouter, RouterConfig
@@ -80,28 +78,9 @@ _ROUTER_COUNTERS = (
 )
 
 
-def _git_commit() -> str:
-    try:
-        return subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            text=True,
-        ).strip()
-    except Exception:
-        return "unknown"
-
-
-def run_one(
-    name: str,
-    scale: float,
-    ratio: float,
-    method: str,
-    workers: int,
-    exec_backend: str,
-    rounds: Optional[int],
-    keep_dir: Optional[str],
-) -> tuple:
+def run_one(name: str, args: argparse.Namespace) -> tuple:
     """Time every stage for one benchmark; returns (record, report)."""
+    scale, keep_dir = args.scale, args.keep_files
     metrics.enable()
     metrics.registry().reset()
     phases: Dict[str, float] = {}
@@ -130,7 +109,9 @@ def run_one(
         if not keep_dir:
             os.unlink(path)
 
-    router_config = RouterConfig(rounds=rounds) if rounds else None
+    router_config = (
+        RouterConfig(rounds=args.router_rounds) if args.router_rounds else None
+    )
     router = GlobalRouter(bench.grid, router_config)
     timed("scale:route", lambda: router.route(bench.nets))
     timed(
@@ -142,9 +123,11 @@ def run_one(
     if stats is not None:
         bench.router_stats = stats.as_dict()
 
-    cfg = CPLAConfig(workers=workers, exec_backend=exec_backend)
+    cfg = CPLAConfig(workers=args.workers, exec_backend=args.exec_backend)
     solve_start = time.perf_counter()
-    report = run_method(bench, method, critical_ratio=ratio / 100.0, cpla_config=cfg)
+    report = run_method(
+        bench, args.method, critical_ratio=args.ratio / 100.0, cpla_config=cfg
+    )
     phases["solve_wall"] = time.perf_counter() - solve_start
 
     counters = metrics.registry().as_dict()["counters"]
@@ -214,18 +197,15 @@ def _improvement(baseline: dict, current: dict) -> dict:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="snapshot label (baseline/current)")
-    parser.add_argument("--out", default="BENCH_scale.json")
-    parser.add_argument("--benchmarks", default=DEFAULT_BENCHMARKS)
-    parser.add_argument("--scale", type=float, default=10.0)
-    parser.add_argument("--ratio", type=float, default=0.5, help="critical ratio in percent")
-    parser.add_argument("--method", default="sdp", choices=["sdp", "ilp"])
-    parser.add_argument("--workers", type=int, default=0)
-    parser.add_argument(
-        "--exec", dest="exec_backend", default="pool",
-        choices=["pool", "dist", "batch", "seq"],
+    parser = harness.parser(
+        __doc__.splitlines()[0], out="BENCH_scale.json", scale=10.0,
+        exec_backend="pool",
+        repeat="run the suite N times and keep each benchmark's fastest "
+               "ingest+route pass (noise robustness on shared machines)",
+        check="CI smoke mode: fail unless every benchmark completed with all "
+              "stages recorded and Avg(Tcp) not regressing its own initial",
     )
+    parser.add_argument("--benchmarks", default=DEFAULT_BENCHMARKS)
     parser.add_argument(
         "--router-rounds", type=int, default=0, metavar="N",
         help="override RouterConfig.rounds (0 = default)",
@@ -239,44 +219,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="append one run-ledger entry per benchmark (phases include the "
              "scale:* stage timings)",
     )
-    parser.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="run the suite N times and keep each benchmark's fastest "
-        "ingest+route pass (noise robustness on shared machines)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI smoke mode: fail unless every benchmark completed with all "
-             "stages recorded and Avg(Tcp) not regressing its own initial",
-    )
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
     names = [n.strip() for n in args.benchmarks.split(",") if n.strip()]
 
-    records: Dict[str, dict] = {}
-    reports: Dict[str, object] = {}
-    for rep in range(args.repeat):
-        if rep:
-            print(f"-- repeat {rep + 1}/{args.repeat}", flush=True)
-        for name in names:
-            record, report = run_one(
-                name, args.scale, args.ratio, args.method, args.workers,
-                args.exec_backend, args.router_rounds, args.keep_files,
-            )
-            kept = records.get(name)
-            if (
-                kept is None
-                or record["ingest_route_seconds"] < kept["ingest_route_seconds"]
-            ):
-                records[name] = record
-                reports[name] = report
+    measured = harness.best_of(
+        args.repeat, names, lambda name: run_one(name, args),
+        lambda measurement: measurement[0]["ingest_route_seconds"],
+    )
+    records = {name: record for name, (record, _) in measured.items()}
     if args.ledger:
-        from repro.obs import ledger as run_ledger
-
-        for name in names:
-            entry = run_ledger.build_entry(
-                reports[name],
+        for name, (_, report) in measured.items():
+            run_ledger.append_entry(args.ledger, run_ledger.build_entry(
+                report,
                 config={
                     "benchmark": name,
                     "method": args.method,
@@ -287,45 +241,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "tier": "scale",
                 },
                 label="scale",
-            )
-            run_ledger.append_entry(args.ledger, entry)
+            ))
 
-    snapshot = {
-        "label": args.label,
-        "commit": _git_commit(),
-        "python": platform.python_version(),
-        "suite": {
-            "benchmarks": names,
-            "scale": args.scale,
-            "ratio_percent": args.ratio,
-            "method": args.method,
-            "workers": args.workers,
-            "exec": args.exec_backend,
-            "repeat": args.repeat,
+    harness.write_snapshot(
+        args, SCHEMA,
+        {"benchmarks": names, **harness.suite(args), "repeat": args.repeat},
+        {
+            "total_ingest_route_seconds": round(
+                sum(r["ingest_route_seconds"] for r in records.values()), 4
+            ),
+            "benchmarks": records,
         },
-        "total_ingest_route_seconds": round(
-            sum(r["ingest_route_seconds"] for r in records.values()), 4
-        ),
-        "benchmarks": records,
-    }
-
-    data = {"schema": SCHEMA, "methodology": METHODOLOGY, "runs": {}}
-    if os.path.exists(args.out):
-        try:
-            with open(args.out, "r", encoding="utf-8") as fh:
-                existing = json.load(fh)
-            if existing.get("schema") == SCHEMA:
-                data = existing
-        except (OSError, ValueError):
-            pass
-    data.setdefault("runs", {})[args.label] = snapshot
-    runs = data["runs"]
-    if "baseline" in runs and "current" in runs:
-        data["improvement"] = _improvement(runs["baseline"], runs["current"])
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.label} snapshot to {args.out}")
+        methodology=METHODOLOGY,
+        improvement=_improvement,
+    )
 
     if args.check:
         bad = []
