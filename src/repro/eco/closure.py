@@ -18,7 +18,7 @@ trace span whose children are the round's dirty-partition solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.engine import CPLAConfig, CPLAEngine
 from repro.eco.edits import EcoEdit
@@ -88,14 +88,24 @@ class ClosureResult:
         }
 
 
+def via_counts(grid) -> Tuple[int, int]:
+    """``(via overflow, via count)`` of the grid's committed assignment."""
+    return grid.total_via_overflow(), grid.total_vias()
+
+
 def round_entry(
     config: ClosureConfig,
     report: EcoReport,
     round_index: int,
-    grid,
+    before: Tuple[int, int],
+    after: Tuple[int, int],
     trace: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """One ``closure:<method>`` run-ledger entry for one ECO round."""
+    """One ``closure:<method>`` run-ledger entry for one ECO round.
+
+    ``before`` and ``after`` are the :func:`via_counts` of the grid before
+    and after the round's apply.
+    """
     return make_entry(
         report.benchmark, f"closure:{config.method}", config.critical_ratio,
         {
@@ -112,10 +122,10 @@ def round_entry(
             "final_avg_tcp": report.post_avg_tcp,
             "initial_max_tcp": report.pre_max_tcp,
             "final_max_tcp": report.post_max_tcp,
-            "initial_via_overflow": grid.total_via_overflow(),
-            "final_via_overflow": grid.total_via_overflow(),
-            "initial_vias": grid.total_vias(),
-            "final_vias": grid.total_vias(),
+            "initial_via_overflow": before[0],
+            "final_via_overflow": after[0],
+            "initial_vias": before[1],
+            "final_vias": after[1],
         },
         report.seconds,
         convergence={},
@@ -174,6 +184,7 @@ def run_closure(
         result.stopped = "max_rounds"
         for round_index in range(1, config.max_rounds + 1):
             edit = EcoEdit(op="release_nets", worst=config.release_k)
+            before = via_counts(bench.grid)
             with tracer.span(
                 "closure.round", round=round_index, worst=config.release_k
             ):
@@ -192,7 +203,8 @@ def run_closure(
                 append_entry(
                     ledger_path,
                     round_entry(
-                        config, report, round_index, bench.grid, trace_info
+                        config, report, round_index, before,
+                        via_counts(bench.grid), trace_info,
                     ),
                 )
             gain = (

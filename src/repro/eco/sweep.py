@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.engine import CPLAConfig, CPLAEngine
 from repro.obs import tracer
-from repro.obs.ledger import append_entry, make_entry
+from repro.obs.ledger import append_entry, make_entry, run_quality
 from repro.utils import get_logger
 
 log = get_logger(__name__)
@@ -55,23 +55,34 @@ class SweepConfig:
 
 @dataclass
 class SweepPoint:
-    """One grid point's knobs and outcome."""
+    """One grid point's knobs and outcome.
+
+    ``quality`` is the point's own run's ledger quality block
+    (:func:`~repro.obs.ledger.run_quality`).
+    """
 
     knobs: Dict[str, float]
-    final_avg_tcp: float
-    final_max_tcp: float
-    initial_avg_tcp: float
-    initial_max_tcp: float
+    quality: Dict[str, Any]
     seconds: float
     pareto: bool = False
+
+    @property
+    def final_avg_tcp(self) -> float:
+        return self.quality["final_avg_tcp"]
+
+    @property
+    def final_max_tcp(self) -> float:
+        return self.quality["final_max_tcp"]
 
     def to_json(self) -> Dict[str, Any]:
         return {
             "knobs": dict(self.knobs),
-            "final_avg_tcp": self.final_avg_tcp,
-            "final_max_tcp": self.final_max_tcp,
-            "initial_avg_tcp": self.initial_avg_tcp,
-            "initial_max_tcp": self.initial_max_tcp,
+            **{
+                key: self.quality[key] for key in (
+                    "final_avg_tcp", "final_max_tcp",
+                    "initial_avg_tcp", "initial_max_tcp",
+                )
+            },
             "seconds": round(self.seconds, 4),
             "pareto": self.pareto,
         }
@@ -112,7 +123,6 @@ def _point_entry(
     point: SweepPoint,
     index: int,
     total: int,
-    grid,
     trace: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     return make_entry(
@@ -123,16 +133,7 @@ def _point_entry(
             "exec_backend": config.exec_backend,
             **point.knobs,
         },
-        {
-            "initial_avg_tcp": point.initial_avg_tcp,
-            "final_avg_tcp": point.final_avg_tcp,
-            "initial_max_tcp": point.initial_max_tcp,
-            "final_max_tcp": point.final_max_tcp,
-            "initial_via_overflow": grid.total_via_overflow(),
-            "final_via_overflow": grid.total_via_overflow(),
-            "initial_vias": grid.total_vias(),
-            "final_vias": grid.total_vias(),
-        },
+        point.quality,
         point.seconds,
         convergence={},
         sweep={
@@ -159,7 +160,6 @@ def run_sweep(
 
     result = SweepResult(benchmark=config.benchmark, method=config.method)
     grid_points = config.points()
-    last_grid = None
     for index, knobs in enumerate(grid_points, 1):
         with tracer.span(
             "sweep.point", index=index,
@@ -178,14 +178,8 @@ def run_sweep(
             with CPLAEngine(bench, cpla) as engine:
                 report = engine.run()
         result.points.append(SweepPoint(
-            knobs=knobs,
-            final_avg_tcp=report.final_avg_tcp,
-            final_max_tcp=report.final_max_tcp,
-            initial_avg_tcp=report.initial_avg_tcp,
-            initial_max_tcp=report.initial_max_tcp,
-            seconds=report.runtime,
+            knobs=knobs, quality=run_quality(report), seconds=report.runtime,
         ))
-        last_grid = bench.grid
         log.info(
             "sweep point %d/%d %s: Avg(Tcp) %.1f, %.2fs",
             index, len(grid_points), knobs,
@@ -197,8 +191,7 @@ def run_sweep(
             append_entry(
                 ledger_path,
                 _point_entry(
-                    config, point, index, len(result.points), last_grid,
-                    trace_info,
+                    config, point, index, len(result.points), trace_info
                 ),
             )
     return result

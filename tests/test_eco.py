@@ -26,8 +26,10 @@ from repro.eco import (
     cold_replay_digest,
     edit_set_digest,
     edits_to_json,
+    SweepConfig,
     parse_edits,
     run_closure,
+    run_sweep,
 )
 from repro.ispd.request import (
     AssignRequest,
@@ -288,6 +290,75 @@ class TestClosure:
         ):
             with pytest.raises(ValueError):
                 ClosureConfig(benchmark=BENCH, **kwargs)
+
+
+    def test_round_entries_carry_the_round_via_counts(self, tmp_path):
+        """Each round's entry reads the via counts of the grid before and
+        after its own apply, replayed here round by round."""
+        config = ClosureConfig(
+            benchmark=BENCH, scale=SCALE, critical_ratio=0.02,
+            max_rounds=2, min_gain=0,
+        )
+        ledger_path = str(tmp_path / "closure.jsonl")
+        run_closure(config, ledger_path=ledger_path)
+        entries = run_ledger.read_entries(ledger_path)
+
+        bench = prepare(BENCH, scale=SCALE)
+        expected = []
+        with CPLAEngine(bench, CPLAConfig(
+            method="sdp", critical_ratio=0.02, exec_backend="seq",
+        )) as engine:
+            engine.run()
+            eco = EcoEngine(engine)
+            for _ in entries:
+                before = bench.grid.total_via_overflow(), bench.grid.total_vias()
+                eco.apply(
+                    [EcoEdit(op="release_nets", worst=config.release_k)],
+                    max_first=True,
+                )
+                after = bench.grid.total_via_overflow(), bench.grid.total_vias()
+                expected.append(before + after)
+        got = [
+            (q["initial_via_overflow"], q["initial_vias"],
+             q["final_via_overflow"], q["final_vias"])
+            for q in (entry["quality"] for entry in entries)
+        ]
+        assert got == expected
+        # This design's first round moves its vias, so the pair is a test.
+        assert expected[0][:2] != expected[0][2:]
+
+
+class TestSweep:
+    def test_each_point_entry_carries_its_own_run(self, tmp_path):
+        """Every sweep point's quality block is the one its own run
+        reports, via counts included."""
+        config = SweepConfig(
+            benchmark=BENCH, scale=0.2, partition_sizes=(4, 40),
+            ratios=(0.02,),
+        )
+        ledger_path = str(tmp_path / "sweep.jsonl")
+        result = run_sweep(config, ledger_path=ledger_path)
+        entries = run_ledger.read_entries(ledger_path)
+        assert len(entries) == len(result.points) == 2
+        for entry, point in zip(entries, result.points):
+            bench = prepare(BENCH, scale=config.scale)
+            cpla = CPLAConfig(
+                method="sdp", critical_ratio=0.02, exec_backend="seq",
+                max_segments_per_partition=int(point.knobs["partition_size"]),
+            )
+            with CPLAEngine(bench, cpla) as engine:
+                report = engine.run()
+            assert entry["quality"] == {
+                key: getattr(report, key) for key in (
+                    "initial_avg_tcp", "final_avg_tcp",
+                    "initial_max_tcp", "final_max_tcp",
+                    "initial_via_overflow", "final_via_overflow",
+                    "initial_vias", "final_vias",
+                )
+            }
+            assert entry["sweep"]["knobs"] == point.knobs
+        qualities = [entry["quality"] for entry in entries]
+        assert qualities[0]["final_vias"] != qualities[1]["final_vias"]
 
 
 class TestDirtyFractionGate:
