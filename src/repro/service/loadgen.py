@@ -359,9 +359,12 @@ def _local_digest(cfg: LoadGenConfig) -> str:
     try:
         with tracer.span("loadgen.verify", benchmark=cfg.benchmark):
             bench = prepare(cfg.benchmark, scale=cfg.scale)
+            # The campaign's backend and worker count, whatever they are:
+            # seq, batch and the default pool at 0 workers solve on
+            # different schedules, so their digests legitimately differ.
             cpla_config = (
                 CPLAConfig(workers=cfg.workers, exec_backend=cfg.exec_backend)
-                if cfg.workers and cfg.method in ("sdp", "ilp")
+                if cfg.method in ("sdp", "ilp")
                 else None
             )
             run_method(

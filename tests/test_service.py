@@ -563,3 +563,17 @@ class TestBenchServeEntry:
         assert result.passed, result.entry
         assert result.entry["serving"]["engine_runs"] == 1
         assert "engine runs          1" in ledger.render_entry(result.entry)
+
+    def test_verify_solves_with_the_campaign_backend(self):
+        """``--verify`` checks a seq campaign at 0 workers against a seq
+        solve, not the default pool schedule, whose digest differs."""
+        from repro.service.loadgen import LoadGenConfig, run_loadgen
+
+        result = run_loadgen(LoadGenConfig(
+            benchmark="adaptec1", scale=0.05, ratio_percent=2,
+            exec_backend="seq", qps=20, requests=2, concurrency=2,
+            warmup=1, verify=True,
+        ))
+        assert result.entry["method"] == "serve:sdp+seq"
+        assert result.verified is True, result.entry
+        assert result.passed
