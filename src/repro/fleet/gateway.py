@@ -277,10 +277,22 @@ class Gateway(http.HttpFront):
                     timeout=self.config.request_timeout_seconds,
                     connect_timeout=self.config.connect_timeout_seconds,
                 )
+            except asyncio.TimeoutError:
+                # A read timed out: the shard is still working — answering
+                # 504 here mirrors the shard's own deadline taxonomy;
+                # re-running a live solve on another shard would double
+                # the work, not halve the wait.  First, because since
+                # Python 3.11 this is the builtin TimeoutError, an OSError.
+                metrics.inc("fleet.upstream_timeouts")
+                return 504, error_body(
+                    "deadline_exceeded",
+                    f"shard {shard_id} exceeded the gateway timeout",
+                ), {}
             except _FAILOVER_ERRORS as exc:
-                # The shard never answered: mark it dead and fail over to
-                # the ring's next live shard.  Bit-identity makes the
-                # retry safe — the successor produces the same digest.
+                # The shard never answered (a connect that timed out
+                # included): mark it dead and fail over to the ring's next
+                # live shard.  Bit-identity makes the retry safe — the
+                # successor produces the same digest.
                 shard.live = False
                 shard.failures += 1
                 failed_over = True
@@ -290,16 +302,6 @@ class Gateway(http.HttpFront):
                     shard_id, type(exc).__name__, exc,
                 )
                 continue
-            except asyncio.TimeoutError:
-                # The shard is still working — answering 504 here mirrors
-                # the shard's own deadline taxonomy; re-running a live
-                # solve on another shard would double the work, not halve
-                # the wait.
-                metrics.inc("fleet.upstream_timeouts")
-                return 504, error_body(
-                    "deadline_exceeded",
-                    f"shard {shard_id} exceeded the gateway timeout",
-                ), {}
             finally:
                 shard.semaphore.release()
             shard.proxied += 1

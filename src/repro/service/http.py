@@ -417,17 +417,23 @@ async def exchange(
     """One HTTP/1.1 exchange; returns ``(status, headers, raw body)``.
 
     Response header names are lower-cased.  ``connect_timeout`` bounds
-    the connect (default: ``timeout``), ``timeout`` each read.  Reads the
-    head, then exactly ``Content-Length`` body bytes and never to EOF:
-    solver worker processes forked mid-request inherit the server's
-    accepted socket, so the connection only sees FIN when those
-    (long-lived) workers exit — read-to-EOF would hang forever.
+    the connect (default: ``timeout``), ``timeout`` each read.  A connect
+    that times out raises :class:`ConnectionError` (the peer never took
+    the request), a read that times out :class:`asyncio.TimeoutError`
+    (the peer has it and is still working).  Reads the head, then exactly
+    ``Content-Length`` body bytes and never to EOF: solver worker
+    processes forked mid-request inherit the server's accepted socket, so
+    the connection only sees FIN when those (long-lived) workers exit —
+    read-to-EOF would hang forever.
     """
     host, port = address
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port),
-        timeout=timeout if connect_timeout is None else connect_timeout,
-    )
+    try:
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(host, port),
+            timeout=timeout if connect_timeout is None else connect_timeout,
+        )
+    except asyncio.TimeoutError:
+        raise ConnectionError(f"connect to {host}:{port} timed out") from None
     try:
         extra = "".join(f"{k}: {v}\r\n" for k, v in (headers or {}).items())
         head = (

@@ -506,6 +506,64 @@ def test_gateway_error_passthrough_is_byte_exact(
         shard.close()
 
 
+class _SilentShard(threading.Thread):
+    """A shard that reports ready on ``/readyz`` but never answers a POST."""
+
+    def __init__(self) -> None:
+        super().__init__(daemon=True)
+        self._sock = socket.socket()
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(8)
+        self.port = self._sock.getsockname()[1]
+        self._held = []
+
+    def run(self) -> None:
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+                head = conn.recv(65536)
+            except OSError:
+                return
+            if head.startswith(b"GET /readyz"):
+                body = b'{"status": "ready"}'
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: "
+                    + str(len(body)).encode()
+                    + b"\r\nConnection: close\r\n\r\n" + body
+                )
+                conn.close()
+            else:
+                self._held.append(conn)  # taken, never answered
+
+    def close(self) -> None:
+        self._sock.close()
+        for conn in self._held:
+            conn.close()
+
+
+def test_gateway_read_timeout_answers_504_and_keeps_the_shard():
+    """A shard that took the request but outlives the gateway timeout is
+    still working: the gateway answers 504 and neither marks it dead nor
+    re-runs the request elsewhere."""
+    metrics.enable()
+    shard = _SilentShard()
+    shard.start()
+    gateway = FrontThread(Gateway, GatewayConfig(
+        shards={"s0": ("127.0.0.1", shard.port)}, port=0,
+        request_timeout_seconds=1,
+    )).start()
+    try:
+        status, payload = _gateway_exchange(gateway.port, BODY)
+        assert status == 504, payload
+        assert payload["error"]["type"] == "deadline_exceeded"
+        assert _counter("fleet.upstream_timeouts") == 1
+        assert _counter("fleet.transport_failures") == 0
+        assert gateway.front.shards["s0"].live
+    finally:
+        gateway.stop()
+        shard.close()
+
+
 # -- obs check gates ---------------------------------------------------------
 
 

@@ -193,3 +193,20 @@ def test_command_line_fronts_serve_and_exit_cleanly():
         assert shard.wait(timeout=120) == 0
     finally:
         _reap(shard)
+
+
+def test_exchange_connect_timeout_is_a_connection_error(monkeypatch):
+    """A connect that times out never delivered the request, so callers
+    see a ConnectionError (the gateway fails over) and not the read
+    timeout (the gateway answers 504)."""
+    from repro.service import http
+
+    async def never_connects(host, port):
+        await asyncio.sleep(30)
+
+    monkeypatch.setattr(asyncio, "open_connection", never_connects)
+    with pytest.raises(ConnectionError, match="timed out"):
+        asyncio.run(http.exchange(
+            ("127.0.0.1", 9), "GET", "/readyz", timeout=30,
+            connect_timeout=0.05,
+        ))
