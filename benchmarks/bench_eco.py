@@ -45,7 +45,7 @@ from repro.eco.edits import EcoEdit
 from repro.eco.engine import EcoEngine, EcoReport, cold_replay_digest
 from repro.ispd.request import assignment_digest
 from repro.obs import harness
-from repro.obs.ledger import append_entry, make_entry
+from repro.obs.ledger import append_entry, eco_quality, eco_section, make_entry
 from repro.pipeline import prepare
 
 BENCH_SCHEMA = "repro.bench_eco/v1"
@@ -141,31 +141,16 @@ def _ledger_entry(
             "edit_size": record["edit_size"],
             "resize_factor": args.factor,
         },
-        {
-            "initial_avg_tcp": report.pre_avg_tcp,
-            "final_avg_tcp": report.post_avg_tcp,
-            "initial_max_tcp": report.pre_max_tcp,
-            "final_max_tcp": report.post_max_tcp,
-        },
+        eco_quality(report),
         record["incremental_seconds"],
         phases={
             "eco:incremental": record["incremental_seconds"],
             "eco:cold_replay": record["cold_seconds"],
         },
         convergence={},
-        eco={
-            "epoch": report.epoch,
-            "num_edits": report.num_edits,
-            "edit_digest": report.edit_digest,
-            "edit_size": record["edit_size"],
-            "released": report.released,
-            "dirty_leaves": record["dirty_leaves"],
-            "num_leaves": record["num_leaves"],
-            "dirty_fraction": report.dirty_fraction,
-            "accepted": report.accepted,
-            "digest": record["digest"],
-            "speedup": record["speedup"],
-        },
+        eco=eco_section(
+            report, edit_size=record["edit_size"], speedup=record["speedup"]
+        ),
     )
 
 
@@ -209,7 +194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args, BENCH_SCHEMA,
         {
             "benchmark": args.benchmark,
-            **harness.suite(args),
             "edit_sizes": sizes,
             "resize_factor": args.factor,
         },

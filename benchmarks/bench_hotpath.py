@@ -154,7 +154,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     harness.write_snapshot(
         args, SCHEMA,
-        {"benchmarks": names, **harness.suite(args), "repeat": args.repeat},
+        {"benchmarks": names, "repeat": args.repeat},
         {
             "total_wall_seconds": round(
                 sum(r["wall_seconds"] for r in records.values()), 4

@@ -245,7 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     harness.write_snapshot(
         args, SCHEMA,
-        {"benchmarks": names, **harness.suite(args), "repeat": args.repeat},
+        {"benchmarks": names, "repeat": args.repeat},
         {
             "total_ingest_route_seconds": round(
                 sum(r["ingest_route_seconds"] for r in records.values()), 4

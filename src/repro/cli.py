@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--entry", type=int, default=-1)
     for field in run_ledger.GATED:
         p_check.add_argument(
-            field.gate.flag, type=float, default=field.gate.default,
+            field.flag, type=float, default=field.default,
             metavar="BOUND", help=field.help,
         )
     p_check.add_argument("-v", "--verbose", action="store_true")
@@ -1075,10 +1075,12 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
 
 
 def _traced_root(name: str, trace_out: Optional[str], **attrs):
-    """Start a root span for a whole CLI command; returns (span, trace_id).
+    """Start a root span for a whole CLI command.
 
-    Mirrors ``repro run``'s one-trace-per-invocation discipline so the
-    exported file passes ``repro obs trace summary --check``.
+    Returns the span and the ledger's trace stamp (``{"trace_id": ...,
+    "file": ...}``), or ``(None, None)`` without ``trace_out``.  Mirrors
+    ``repro run``'s one-trace-per-invocation discipline so the exported
+    file passes ``repro obs trace summary --check``.
     """
     from repro import obs
 
@@ -1090,19 +1092,21 @@ def _traced_root(name: str, trace_out: Optional[str], **attrs):
         name, ctx=obs.tracer.TraceContext(trace_id), **attrs
     )
     obs.tracer.attach(obs.tracer.TraceContext(trace_id, span.id))
-    return span, trace_id
+    return span, {"trace_id": trace_id, "file": trace_out}
 
 
-def _finish_trace(span, trace_id, trace_out: Optional[str]):
-    """Finish the root span and export; returns the ledger trace stamp."""
+def _finish_trace(span, trace_info) -> None:
+    """Finish the root span and export its trace."""
     from repro import obs
 
     if span is None:
-        return None
+        return
     span.finish()
-    count = obs.tracer.export_jsonl(trace_out)
-    print(f"wrote {count} spans to {trace_out} (trace {trace_id})")
-    return {"trace_id": trace_id, "file": trace_out, "spans": count}
+    count = obs.tracer.export_jsonl(trace_info["file"])
+    print(
+        f"wrote {count} spans to {trace_info['file']} "
+        f"(trace {trace_info['trace_id']})"
+    )
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
@@ -1123,12 +1127,9 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"closure: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    span, trace_id = _traced_root(
+    span, trace_info = _traced_root(
         "closure", args.trace_out,
         benchmark=args.benchmark, method=args.method,
-    )
-    trace_info = (
-        {"trace_id": trace_id, "file": args.trace_out} if span else None
     )
     try:
         result = run_closure(
@@ -1137,7 +1138,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     except (ValueError, KeyError) as exc:
         print(f"infeasible or invalid input: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _finish_trace(span, trace_id, args.trace_out)
+    _finish_trace(span, trace_info)
     print(render_closure(result))
     if args.ledger:
         print(
@@ -1184,13 +1185,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rhos=rhos,
         ratios=tuple(r / 100.0 for r in ratio_pcts),
     )
-    span, trace_id = _traced_root(
+    span, trace_info = _traced_root(
         "sweep", args.trace_out,
         benchmark=args.benchmark, method=args.method,
         points=len(config.points()),
-    )
-    trace_info = (
-        {"trace_id": trace_id, "file": args.trace_out} if span else None
     )
     try:
         result = run_sweep(
@@ -1199,7 +1197,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except (ValueError, KeyError) as exc:
         print(f"infeasible or invalid input: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _finish_trace(span, trace_id, args.trace_out)
+    _finish_trace(span, trace_info)
     print(render_sweep(result))
     if args.ledger:
         print(

@@ -24,7 +24,7 @@ from repro.core.engine import CPLAConfig, CPLAEngine
 from repro.eco.edits import EcoEdit
 from repro.eco.engine import EcoEngine, EcoReport
 from repro.obs import tracer
-from repro.obs.ledger import append_entry, make_entry
+from repro.obs.ledger import append_entry, eco_quality, eco_section, make_entry
 from repro.utils import get_logger
 
 log = get_logger(__name__)
@@ -73,20 +73,6 @@ class ClosureResult:
             return 0.0
         return 1.0 - self.final_max_tcp / self.initial_max_tcp
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "method": self.method,
-            "initial_max_tcp": self.initial_max_tcp,
-            "final_max_tcp": self.final_max_tcp,
-            "initial_avg_tcp": self.initial_avg_tcp,
-            "final_avg_tcp": self.final_avg_tcp,
-            "baseline_seconds": round(self.baseline_seconds, 4),
-            "total_gain": self.total_gain,
-            "stopped": self.stopped,
-            "rounds": [r.to_json() for r in self.rounds],
-        }
-
 
 def via_counts(grid) -> Tuple[int, int]:
     """``(via overflow, via count)`` of the grid's committed assignment."""
@@ -118,10 +104,7 @@ def round_entry(
             "min_gain": config.min_gain,
         },
         {
-            "initial_avg_tcp": report.pre_avg_tcp,
-            "final_avg_tcp": report.post_avg_tcp,
-            "initial_max_tcp": report.pre_max_tcp,
-            "final_max_tcp": report.post_max_tcp,
+            **eco_quality(report),
             "initial_via_overflow": before[0],
             "final_via_overflow": after[0],
             "initial_vias": before[1],
@@ -129,18 +112,7 @@ def round_entry(
         },
         report.seconds,
         convergence={},
-        eco={
-            "round": round_index,
-            "epoch": report.epoch,
-            "num_edits": report.num_edits,
-            "edit_digest": report.edit_digest,
-            "released": report.released,
-            "dirty_leaves": report.dirty.get("dirty_leaves", 0),
-            "num_leaves": report.dirty.get("num_leaves", 0),
-            "dirty_fraction": report.dirty_fraction,
-            "accepted": report.accepted,
-            "digest": report.digest,
-        },
+        eco=eco_section(report, round=round_index),
         trace=trace or None,
     )
 

@@ -77,24 +77,6 @@ class EcoReport:
     def dirty_fraction(self) -> float:
         return float(self.dirty.get("dirty_fraction", 0.0))
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "epoch": self.epoch,
-            "edit_digest": self.edit_digest,
-            "num_edits": self.num_edits,
-            "edited_nets": list(self.edited_nets),
-            "released": self.released,
-            "dirty": dict(self.dirty),
-            "pre_avg_tcp": self.pre_avg_tcp,
-            "pre_max_tcp": self.pre_max_tcp,
-            "post_avg_tcp": self.post_avg_tcp,
-            "post_max_tcp": self.post_max_tcp,
-            "accepted": self.accepted,
-            "digest": self.digest,
-            "seconds": round(self.seconds, 6),
-        }
-
 
 class EcoEngine:
     """Applies edit sets to a committed CPLA state, epoch by epoch."""

@@ -74,19 +74,6 @@ class SweepPoint:
     def final_max_tcp(self) -> float:
         return self.quality["final_max_tcp"]
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "knobs": dict(self.knobs),
-            **{
-                key: self.quality[key] for key in (
-                    "final_avg_tcp", "final_max_tcp",
-                    "initial_avg_tcp", "initial_max_tcp",
-                )
-            },
-            "seconds": round(self.seconds, 4),
-            "pareto": self.pareto,
-        }
-
 
 @dataclass
 class SweepResult:
@@ -97,13 +84,6 @@ class SweepResult:
     @property
     def frontier(self) -> List[SweepPoint]:
         return [p for p in self.points if p.pareto]
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "method": self.method,
-            "points": [p.to_json() for p in self.points],
-        }
 
 
 def mark_frontier(points: List[SweepPoint]) -> None:

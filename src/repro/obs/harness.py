@@ -1,17 +1,9 @@
 """Shared plumbing of the snapshot harnesses under ``benchmarks/``.
 
-``bench_hotpath.py``, ``bench_scale.py`` and ``bench_eco.py`` measure
-different things but record them the same way: each invocation writes
-one labelled snapshot (``--label baseline`` / ``--label current``) into
-a JSON file that keeps the snapshots of the other labels.  Each harness
-keeps its measurement function and its snapshot schema; this module
-holds the rest:
-
-- :func:`parser` — the arguments every harness takes (``--label --out
-  --scale --ratio --method --workers --exec [--repeat] --check``);
-- :func:`best_of` — the best-of-N loop behind ``--repeat``;
-- :func:`suite` and :func:`write_snapshot` — the snapshot header (label,
-  commit, python, suite) and the read-merge-write of the labelled file.
+``bench_hotpath.py``, ``bench_scale.py`` and ``bench_eco.py`` each keep
+their measurement function and snapshot schema; this module holds the
+arguments they share, the best-of-N loop behind ``--repeat``, and the
+labelled snapshot file, which keeps one snapshot per ``--label``.
 """
 
 from __future__ import annotations
@@ -20,7 +12,7 @@ import argparse
 import json
 import os
 import platform
-from typing import Any, Callable, Dict, Iterable, Optional, TypeVar
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from repro.ispd.request import EXEC_BACKENDS
 from repro.obs.ledger import git_commit
@@ -76,7 +68,7 @@ def parser(
 
 def best_of(
     repeat: int,
-    names: Iterable[str],
+    names: List[str],
     measure: Callable[[str], T],
     seconds: Callable[[T], float],
 ) -> Dict[str, T]:
@@ -85,7 +77,6 @@ def best_of(
     Every round measures every name in order; ``seconds`` reads the time
     a measurement is ranked by.
     """
-    names = list(names)
     best: Dict[str, T] = {}
     for round_index in range(repeat):
         if round_index:
@@ -95,17 +86,6 @@ def best_of(
             if name not in best or seconds(result) < seconds(best[name]):
                 best[name] = result
     return best
-
-
-def suite(args: argparse.Namespace) -> Dict[str, Any]:
-    """The common settings of a snapshot's ``suite`` section."""
-    return {
-        "scale": args.scale,
-        "ratio_percent": args.ratio,
-        "method": args.method,
-        "workers": args.workers,
-        "exec": args.exec_backend,
-    }
 
 
 def write_snapshot(
@@ -118,9 +98,11 @@ def write_snapshot(
 ) -> None:
     """Record ``results`` as the ``args.label`` snapshot in ``args.out``.
 
-    The file keeps the snapshots of other labels unless it holds another
-    schema.  Once it has both a ``baseline`` and a ``current`` snapshot,
-    ``improvement(baseline, current)`` fills its ``improvement`` section.
+    The snapshot's ``suite`` holds the common settings of ``args`` and the
+    harness's own ``suite`` settings.  The file keeps the snapshots of
+    other labels unless it holds another schema.  Once it has both a
+    ``baseline`` and a ``current`` snapshot, ``improvement(baseline,
+    current)`` fills its ``improvement`` section.
     """
     data: Dict[str, Any] = {"schema": schema}
     if methodology:
@@ -139,7 +121,14 @@ def write_snapshot(
         "label": args.label,
         "commit": git_commit(),
         "python": platform.python_version(),
-        "suite": suite,
+        "suite": {
+            "scale": args.scale,
+            "ratio_percent": args.ratio,
+            "method": args.method,
+            "workers": args.workers,
+            "exec": args.exec_backend,
+            **suite,
+        },
         **results,
     }
     if improvement and "baseline" in runs and "current" in runs:

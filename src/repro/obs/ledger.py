@@ -114,17 +114,42 @@ def _rounded(phases: Mapping[str, float]) -> Dict[str, float]:
     return {k: round(float(v), 4) for k, v in sorted(phases.items())}
 
 
+QUALITY = (
+    "initial_avg_tcp", "final_avg_tcp", "initial_max_tcp", "final_max_tcp",
+    "initial_via_overflow", "final_via_overflow", "initial_vias", "final_vias",
+)
+
+
 def run_quality(report: Any) -> Dict[str, Any]:
-    """The quality block of a :class:`~repro.analysis.runreport.RunReport`."""
+    """The quality block of a :class:`~repro.analysis.runreport.RunReport`,
+    whose attributes carry the block's key names."""
+    return {key: getattr(report, key) for key in QUALITY}
+
+
+def eco_quality(report: Any) -> Dict[str, Any]:
+    """Avg/Max(Tcp) before and after an :class:`~repro.eco.engine.EcoReport`
+    apply, as the Tcp half of a quality block."""
     return {
-        "initial_avg_tcp": report.initial_avg_tcp,
-        "final_avg_tcp": report.final_avg_tcp,
-        "initial_max_tcp": report.initial_max_tcp,
-        "final_max_tcp": report.final_max_tcp,
-        "initial_via_overflow": report.initial_via_overflow,
-        "final_via_overflow": report.final_via_overflow,
-        "initial_vias": report.initial_vias,
-        "final_vias": report.final_vias,
+        "initial_avg_tcp": report.pre_avg_tcp,
+        "final_avg_tcp": report.post_avg_tcp,
+        "initial_max_tcp": report.pre_max_tcp,
+        "final_max_tcp": report.post_max_tcp,
+    }
+
+
+def eco_section(report: Any, **extra: Any) -> Dict[str, Any]:
+    """The ``eco`` section of an entry for one ECO apply, plus ``extra``."""
+    return {
+        **extra,
+        "epoch": report.epoch,
+        "num_edits": report.num_edits,
+        "edit_digest": report.edit_digest,
+        "released": report.released,
+        "dirty_leaves": report.dirty.get("dirty_leaves", 0),
+        "num_leaves": report.dirty.get("num_leaves", 0),
+        "dirty_fraction": report.dirty_fraction,
+        "accepted": report.accepted,
+        "digest": report.digest,
     }
 
 
@@ -389,42 +414,29 @@ RELATIVE, INCREASE, FLOOR, CEILING = "relative", "increase", "floor", "ceiling"
 
 
 @dataclass(frozen=True)
-class Gate:
-    """How ``repro obs check`` bounds one field.
-
-    ``flag`` is the option that sets the bound and ``default`` the bound
-    without it (``None``: not gated).  ``missing`` is the reason a floor
-    or ceiling gives when the current entry lacks the field.
-    """
-
-    flag: str
-    kind: str
-    default: Optional[float] = None
-    missing: str = ""
-
-    @property
-    def dest(self) -> str:
-        """The key of the gate's bound: the flag's argparse destination."""
-        return self.flag.lstrip("-").replace("-", "_")
-
-
-@dataclass(frozen=True)
 class Field:
-    """One numeric entry field that ``obs diff`` shows and ``obs check``
-    gates when the row has a gate.  A row with ``per`` is derived, the
-    share ``path / per``; only its gate reads it."""
+    """One numeric entry field: ``obs diff`` shows it, and ``obs check``
+    bounds it when the row names a ``flag``.
+
+    ``flag`` is the option that sets the bound, ``kind`` what it bounds,
+    and ``default`` the bound without the option (``None``: not gated).
+    ``missing`` is the reason a floor or ceiling gives when the current
+    entry lacks the field.  A row with ``per`` is derived, the share
+    ``path / per``; only its gate reads it.
+    """
 
     label: str
     path: Tuple[str, ...]
-    gate: Optional[Gate] = None
+    flag: Optional[str] = None
+    kind: str = RELATIVE
+    default: Optional[float] = None
+    missing: str = ""
     per: Optional[Tuple[str, ...]] = None
 
-    def value(self, entry: Dict[str, Any]) -> Optional[float]:
-        value = _lookup(entry, self.path)
-        if self.per is None or value is None:
-            return value
-        whole = _lookup(entry, self.per)
-        return value / whole if whole else None
+    @property
+    def dest(self) -> str:
+        """The key of the row's bound: its flag's argparse destination."""
+        return self.flag.lstrip("-").replace("-", "_")
 
     @property
     def where(self) -> str:
@@ -441,31 +453,38 @@ class Field:
             INCREASE: f"max tolerated absolute increase of {where}",
             FLOOR: f"fail unless the current entry's {where} is at least BOUND",
             CEILING: f"fail when the current entry's {where} exceeds BOUND",
-        }[self.gate.kind]
-        default = self.gate.default
-        return f"{what} (default: {'not gated' if default is None else default})"
+        }[self.kind]
+        default = "not gated" if self.default is None else self.default
+        return f"{what} (default: {default})"
+
+    def value(self, entry: Dict[str, Any]) -> Optional[float]:
+        value = _lookup(entry, self.path)
+        if self.per is None or value is None:
+            return value
+        whole = _lookup(entry, self.per)
+        return value / whole if whole else None
 
 
 FIELDS = (
     Field("final Avg(Tcp)", ("quality", "final_avg_tcp"),
-          Gate("--max-avg-tcp-regression", RELATIVE, 0.02)),
+          "--max-avg-tcp-regression", RELATIVE, 0.02),
     Field("final Max(Tcp)", ("quality", "final_max_tcp"),
-          Gate("--max-max-tcp-regression", RELATIVE, 0.05)),
+          "--max-max-tcp-regression", RELATIVE, 0.05),
     # An increase, not a ratio: healthy runs sit at exactly 0, where a
     # relative bound can never fire.
     Field("final via overflow", ("quality", "final_via_overflow"),
-          Gate("--max-via-overflow-increase", INCREASE)),
+          "--max-via-overflow-increase", INCREASE),
     Field("final via count", ("quality", "final_vias")),
     # Wall-clock is not comparable across machines; CI opts in generously.
     Field("runtime seconds", ("runtime", "total_seconds"),
-          Gate("--max-runtime-regression", RELATIVE)),
+          "--max-runtime-regression", RELATIVE),
     Field("solver iterations p50", ("convergence", "solves", "iterations", "p50")),
     Field("solver iterations p90", ("convergence", "solves", "iterations", "p90"),
-          Gate("--max-iterations-regression", RELATIVE, 0.5)),
+          "--max-iterations-regression", RELATIVE, 0.5),
     Field("non-converged partitions", ("convergence", "partitions", "nonconverged")),
     Field("non-converged partition fraction",
           ("convergence", "partitions", "nonconverged"),
-          Gate("--max-nonconverged-increase", INCREASE, 0.10),
+          "--max-nonconverged-increase", INCREASE, 0.10,
           per=("convergence", "partitions", "count")),
     Field("overflow events", ("convergence", "partitions", "overflow_events")),
     # Dist-fabric runs (``--exec dist``): absent from pool/sequential runs.
@@ -487,21 +506,20 @@ FIELDS = (
     # state is being reused.
     Field("serve p50 latency ms", ("serving", "latency_ms", "p50")),
     Field("serve p95 latency ms", ("serving", "latency_ms", "p95"),
-          Gate("--max-serve-p95-regression", RELATIVE)),
+          "--max-serve-p95-regression", RELATIVE),
     Field("serve throughput qps", ("serving", "throughput_qps")),
     Field("serve warm speedup", ("serving", "warm_speedup"),
-          Gate("--min-warm-speedup", FLOOR, missing="not a bench-serve entry?")),
+          "--min-warm-speedup", FLOOR, missing="not a bench-serve entry?"),
     Field("serve engine runs", ("serving", "engine_runs")),
     # Fleet entries (``repro bench-serve --gateway``): gateway-level
     # behaviour of the sharded topology.  Idempotent repeats that reach
     # solvers mean a broken cache; a failover that cannot seed from the
     # replica stream starts cold.
     Field("fleet cache hit rate", ("serving", "fleet", "cache_hit_rate"),
-          Gate("--min-cache-hit-rate", FLOOR, missing="not a fleet entry?")),
+          "--min-cache-hit-rate", FLOOR, missing="not a fleet entry?"),
     Field("fleet failovers", ("serving", "fleet", "failovers")),
     Field("fleet cold starts", ("serving", "fleet", "failover_cold_starts"),
-          Gate("--max-failover-cold-starts", CEILING,
-               missing="not a fleet entry?")),
+          "--max-failover-cold-starts", CEILING, missing="not a fleet entry?"),
     Field("fleet replica seeds", ("serving", "fleet", "replica_seeds")),
     Field("fleet engine runs", ("serving", "fleet", "engine_runs")),
     # ECO entries (``repro closure`` rounds / eco_apply campaigns): the
@@ -509,11 +527,11 @@ FIELDS = (
     # propagation got blunter, and an engine whose small edits dirty most
     # of the design has lost its reason to exist.
     Field("eco dirty fraction", ("eco", "dirty_fraction"),
-          Gate("--max-dirty-fraction", CEILING, missing="not an ECO entry?")),
+          "--max-dirty-fraction", CEILING, missing="not an ECO entry?"),
     Field("eco dirty leaves", ("eco", "dirty_leaves")),
     Field("eco released nets", ("eco", "released")),
 )
-GATED = tuple(field for field in FIELDS if field.gate is not None)
+GATED = tuple(field for field in FIELDS if field.flag is not None)
 
 
 def _lookup(entry: Dict[str, Any], path) -> Optional[float]:
@@ -577,7 +595,7 @@ def check_entries(
 ) -> List[str]:
     """Violations of ``current`` against ``baseline`` past the gates' bounds.
 
-    ``bounds`` maps a gate's :attr:`Gate.dest` (``max_avg_tcp_regression``
+    ``bounds`` maps a gate's :attr:`Field.dest` (``max_avg_tcp_regression``
     ...) to its bound, ``None`` turning the gate off; a gate it does not
     name keeps its default.  Returns human-readable violation strings
     (empty == gate passes).  Benchmark/method identity is the caller's
@@ -586,22 +604,21 @@ def check_entries(
     bounds = bounds or {}
     violations: List[str] = []
     for field in GATED:
-        gate = field.gate
-        bound = bounds.get(gate.dest, gate.default)
+        bound = bounds.get(field.dest, field.default)
         if bound is None:
             continue
         cur = field.value(current)
-        if gate.kind in (FLOOR, CEILING):
+        if field.kind in (FLOOR, CEILING):
             if cur is None:
                 violations.append(
-                    f"{gate.flag} requested but the current entry has no "
-                    f"{field.where} ({gate.missing})"
+                    f"{field.flag} requested but the current entry has no "
+                    f"{field.where} ({field.missing})"
                 )
-            elif gate.kind == FLOOR and cur < bound:
+            elif field.kind == FLOOR and cur < bound:
                 violations.append(
                     f"{field.label} {cur:g} is below the {bound:g} floor"
                 )
-            elif gate.kind == CEILING and cur > bound:
+            elif field.kind == CEILING and cur > bound:
                 violations.append(
                     f"{field.label} {cur:g} exceeds the {bound:g} ceiling"
                 )
@@ -609,11 +626,11 @@ def check_entries(
         base = field.value(baseline)
         if base is None or cur is None:
             continue
-        if gate.kind == INCREASE and cur - base > bound:
+        if field.kind == INCREASE and cur - base > bound:
             violations.append(
                 f"{field.label} rose {base:g} -> {cur:g} (limit +{bound:g})"
             )
-        elif gate.kind == RELATIVE and base > 0 and cur / base - 1.0 > bound:
+        elif field.kind == RELATIVE and base > 0 and cur / base - 1.0 > bound:
             violations.append(
                 f"{field.label} regressed {cur / base - 1.0:+.1%} "
                 f"(limit {bound:+.1%}): {base:g} -> {cur:g}"

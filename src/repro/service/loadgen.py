@@ -394,20 +394,29 @@ async def _failover_probe(
     ]
 
 
-_COUNTERS = (
-    "fleet.cache_hits", "fleet.cache_misses", "fleet.cache_invalidations",
-    "fleet.failovers", "fleet.failover_requests",
-    "fleet.failover_cold_builds", "fleet.replica_seeds",
-    "fleet.replica_pushes", "fleet.replica_push_failures",
-    "engine.runs",
-)
+# The fleet section's counts: entry key -> the counter it is the
+# campaign's delta of.
+_FLEET_COUNTERS = {
+    "cache_hits": "fleet.cache_hits",
+    "cache_misses": "fleet.cache_misses",
+    "cache_invalidations": "fleet.cache_invalidations",
+    "failovers": "fleet.failovers",
+    "failover_requests": "fleet.failover_requests",
+    "failover_cold_starts": "fleet.failover_cold_builds",
+    "replica_seeds": "fleet.replica_seeds",
+    "replica_pushes": "fleet.replica_pushes",
+    "replica_push_failures": "fleet.replica_push_failures",
+    "engine_runs": "engine.runs",
+}
 
 
 def _counter_snapshot() -> Dict[str, float]:
     from repro.obs import metrics
 
     counters = metrics.registry().as_dict().get("counters", {})
-    return {name: float(counters.get(name, 0)) for name in _COUNTERS}
+    return {
+        name: float(counters.get(name, 0)) for name in _FLEET_COUNTERS.values()
+    }
 
 
 def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
@@ -562,25 +571,17 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
     if counters_before is not None:
         after = _counter_snapshot()
         delta = {
-            name: after[name] - counters_before[name] for name in _COUNTERS
+            name: after[name] - before
+            for name, before in counters_before.items()
         }
     if fleet is not None:
         lookups = delta["fleet.cache_hits"] + delta["fleet.cache_misses"]
         fleet_stats = {
             "shards": cfg.shards,
-            "cache_hits": int(delta["fleet.cache_hits"]),
-            "cache_misses": int(delta["fleet.cache_misses"]),
+            **{key: int(delta[name]) for key, name in _FLEET_COUNTERS.items()},
             "cache_hit_rate": (
                 round(delta["fleet.cache_hits"] / lookups, 4) if lookups else 0.0
             ),
-            "cache_invalidations": int(delta["fleet.cache_invalidations"]),
-            "failovers": int(delta["fleet.failovers"]),
-            "failover_requests": int(delta["fleet.failover_requests"]),
-            "failover_cold_starts": int(delta["fleet.failover_cold_builds"]),
-            "replica_seeds": int(delta["fleet.replica_seeds"]),
-            "replica_pushes": int(delta["fleet.replica_pushes"]),
-            "replica_push_failures": int(delta["fleet.replica_push_failures"]),
-            "engine_runs": int(delta["engine.runs"]),
         }
         if failover_stats is not None:
             fleet_stats["failover"] = failover_stats
@@ -644,11 +645,10 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
             "cold_trace_id": cold_trace,
             "slowest_ms": round(slowest[0], 3) if slowest[1] else None,
         }
+    # The method is prefixed so serve entries only ever gate against serve
+    # baselines.
     result.entry = run_ledger.make_entry(
-        cfg.benchmark,
-        # Prefixed so serve entries only ever gate against serve baselines.
-        cfg.ledger_method,
-        cfg.ratio_percent / 100.0,
+        cfg.benchmark, cfg.ledger_method, cfg.ratio_percent / 100.0,
         {
             "benchmark": cfg.benchmark,
             "scale": cfg.scale,
