@@ -74,23 +74,18 @@ class ClosureResult:
         return 1.0 - self.final_max_tcp / self.initial_max_tcp
 
 
-def via_counts(grid) -> Tuple[int, int]:
-    """``(via overflow, via count)`` of the grid's committed assignment."""
-    return grid.total_via_overflow(), grid.total_vias()
-
-
 def round_entry(
     config: ClosureConfig,
     report: EcoReport,
     round_index: int,
+    grid,
     before: Tuple[int, int],
-    after: Tuple[int, int],
     trace: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One ``closure:<method>`` run-ledger entry for one ECO round.
 
-    ``before`` and ``after`` are the :func:`via_counts` of the grid before
-    and after the round's apply.
+    ``before`` is ``grid``'s ``(via overflow, via count)`` before the
+    round's apply; the counts after it are read from ``grid``.
     """
     return make_entry(
         report.benchmark, f"closure:{config.method}", config.critical_ratio,
@@ -106,9 +101,9 @@ def round_entry(
         {
             **eco_quality(report),
             "initial_via_overflow": before[0],
-            "final_via_overflow": after[0],
+            "final_via_overflow": grid.total_via_overflow(),
             "initial_vias": before[1],
-            "final_vias": after[1],
+            "final_vias": grid.total_vias(),
         },
         report.seconds,
         convergence={},
@@ -156,7 +151,7 @@ def run_closure(
         result.stopped = "max_rounds"
         for round_index in range(1, config.max_rounds + 1):
             edit = EcoEdit(op="release_nets", worst=config.release_k)
-            before = via_counts(bench.grid)
+            before = (bench.grid.total_via_overflow(), bench.grid.total_vias())
             with tracer.span(
                 "closure.round", round=round_index, worst=config.release_k
             ):
@@ -175,8 +170,8 @@ def run_closure(
                 append_entry(
                     ledger_path,
                     round_entry(
-                        config, report, round_index, before,
-                        via_counts(bench.grid), trace_info,
+                        config, report, round_index, bench.grid, before,
+                        trace_info,
                     ),
                 )
             gain = (
