@@ -420,6 +420,9 @@ class Field:
 
     ``flag`` is the option that sets the bound, ``kind`` what it bounds,
     and ``default`` the bound without the option (``None``: not gated).
+    A violation calls the field ``gate`` (default: ``label``), prints its
+    values with the format ``fmt`` and, for a floor or ceiling, names the
+    likely cause, ``hint``.
     ``missing`` is the reason a floor or ceiling gives when the current
     entry lacks the field.  A row with ``per`` is derived, the share
     ``path / per``; only its gate reads it.
@@ -430,6 +433,9 @@ class Field:
     flag: Optional[str] = None
     kind: str = RELATIVE
     default: Optional[float] = None
+    gate: str = ""
+    fmt: str = "{:g}"
+    hint: str = ""
     missing: str = ""
     per: Optional[Tuple[str, ...]] = None
 
@@ -477,14 +483,14 @@ FIELDS = (
     Field("final via count", ("quality", "final_vias")),
     # Wall-clock is not comparable across machines; CI opts in generously.
     Field("runtime seconds", ("runtime", "total_seconds"),
-          "--max-runtime-regression", RELATIVE),
+          "--max-runtime-regression", RELATIVE, gate="runtime"),
     Field("solver iterations p50", ("convergence", "solves", "iterations", "p50")),
     Field("solver iterations p90", ("convergence", "solves", "iterations", "p90"),
           "--max-iterations-regression", RELATIVE, 0.5),
     Field("non-converged partitions", ("convergence", "partitions", "nonconverged")),
     Field("non-converged partition fraction",
           ("convergence", "partitions", "nonconverged"),
-          "--max-nonconverged-increase", INCREASE, 0.10,
+          "--max-nonconverged-increase", INCREASE, 0.10, fmt="{:.1%}",
           per=("convergence", "partitions", "count")),
     Field("overflow events", ("convergence", "partitions", "overflow_events")),
     # Dist-fabric runs (``--exec dist``): absent from pool/sequential runs.
@@ -506,20 +512,28 @@ FIELDS = (
     # state is being reused.
     Field("serve p50 latency ms", ("serving", "latency_ms", "p50")),
     Field("serve p95 latency ms", ("serving", "latency_ms", "p95"),
-          "--max-serve-p95-regression", RELATIVE),
+          "--max-serve-p95-regression", RELATIVE,
+          gate="serving p95 latency"),
     Field("serve throughput qps", ("serving", "throughput_qps")),
     Field("serve warm speedup", ("serving", "warm_speedup"),
-          "--min-warm-speedup", FLOOR, missing="not a bench-serve entry?"),
+          "--min-warm-speedup", FLOOR, gate="serving warm speedup",
+          fmt="{:.2f}x", hint="resident warm state not being reused?",
+          missing="not a bench-serve entry?"),
     Field("serve engine runs", ("serving", "engine_runs")),
     # Fleet entries (``repro bench-serve --gateway``): gateway-level
     # behaviour of the sharded topology.  Idempotent repeats that reach
     # solvers mean a broken cache; a failover that cannot seed from the
     # replica stream starts cold.
     Field("fleet cache hit rate", ("serving", "fleet", "cache_hit_rate"),
-          "--min-cache-hit-rate", FLOOR, missing="not a fleet entry?"),
+          "--min-cache-hit-rate", FLOOR, fmt="{:.1%}",
+          hint="idempotent repeats are reaching solvers",
+          missing="not a fleet entry?"),
     Field("fleet failovers", ("serving", "fleet", "failovers")),
     Field("fleet cold starts", ("serving", "fleet", "failover_cold_starts"),
-          "--max-failover-cold-starts", CEILING, missing="not a fleet entry?"),
+          "--max-failover-cold-starts", CEILING,
+          gate="fleet failover cold starts",
+          hint="replica seeding is not keeping failover warm",
+          missing="not a fleet entry?"),
     Field("fleet replica seeds", ("serving", "fleet", "replica_seeds")),
     Field("fleet engine runs", ("serving", "fleet", "engine_runs")),
     # ECO entries (``repro closure`` rounds / eco_apply campaigns): the
@@ -527,7 +541,9 @@ FIELDS = (
     # propagation got blunter, and an engine whose small edits dirty most
     # of the design has lost its reason to exist.
     Field("eco dirty fraction", ("eco", "dirty_fraction"),
-          "--max-dirty-fraction", CEILING, missing="not an ECO entry?"),
+          "--max-dirty-fraction", CEILING, fmt="{:.1%}",
+          hint="edits are dirtying most of the design",
+          missing="not an ECO entry?"),
     Field("eco dirty leaves", ("eco", "dirty_leaves")),
     Field("eco released nets", ("eco", "released")),
 )
@@ -608,6 +624,7 @@ def check_entries(
         if bound is None:
             continue
         cur = field.value(current)
+        name, show = field.gate or field.label, field.fmt.format
         if field.kind in (FLOOR, CEILING):
             if cur is None:
                 violations.append(
@@ -616,11 +633,13 @@ def check_entries(
                 )
             elif field.kind == FLOOR and cur < bound:
                 violations.append(
-                    f"{field.label} {cur:g} is below the {bound:g} floor"
+                    f"{name} {show(cur)} is below the {show(bound)} floor "
+                    f"({field.hint})"
                 )
             elif field.kind == CEILING and cur > bound:
                 violations.append(
-                    f"{field.label} {cur:g} exceeds the {bound:g} ceiling"
+                    f"{name} {show(cur)} exceeds the {show(bound)} ceiling "
+                    f"({field.hint})"
                 )
             continue
         base = field.value(baseline)
@@ -628,11 +647,12 @@ def check_entries(
             continue
         if field.kind == INCREASE and cur - base > bound:
             violations.append(
-                f"{field.label} rose {base:g} -> {cur:g} (limit +{bound:g})"
+                f"{name} rose {show(base)} -> {show(cur)} "
+                f"(limit +{show(bound)})"
             )
         elif field.kind == RELATIVE and base > 0 and cur / base - 1.0 > bound:
             violations.append(
-                f"{field.label} regressed {cur / base - 1.0:+.1%} "
+                f"{name} regressed {cur / base - 1.0:+.1%} "
                 f"(limit {bound:+.1%}): {base:g} -> {cur:g}"
             )
     return violations

@@ -146,6 +146,49 @@ def test_gate_passes_inside_and_fails_past_its_bound(tmp_path, capsys, row):
     assert words in violations[0]
 
 
+# Each gate's whole violation line for its row's ``past`` value: CI logs
+# are where these lines are read.
+WORDING = {
+    "--max-avg-tcp-regression":
+        "final Avg(Tcp) regressed +11.0% (limit +10.0%): 100 -> 111",
+    "--max-max-tcp-regression":
+        "final Max(Tcp) regressed +11.0% (limit +10.0%): 200 -> 222",
+    "--max-iterations-regression":
+        "solver iterations p90 regressed +52.5% (limit +50.0%): 40 -> 61",
+    "--max-nonconverged-increase":
+        "non-converged partition fraction rose 5.0% -> 16.0% "
+        "(limit +10.0%)",
+    "--max-runtime-regression":
+        "runtime regressed +105.0% (limit +100.0%): 2 -> 4.1",
+    "--max-serve-p95-regression":
+        "serving p95 latency regressed +410.0% (limit +400.0%): 10 -> 51",
+    "--min-warm-speedup":
+        "serving warm speedup 1.04x is below the 1.05x floor "
+        "(resident warm state not being reused?)",
+    "--max-via-overflow-increase":
+        "final via overflow rose 3 -> 4 (limit +0)",
+    "--max-dirty-fraction":
+        "eco dirty fraction 80.0% exceeds the 75.0% ceiling "
+        "(edits are dirtying most of the design)",
+    "--min-cache-hit-rate":
+        "fleet cache hit rate 20.0% is below the 25.0% floor "
+        "(idempotent repeats are reaching solvers)",
+    "--max-failover-cold-starts":
+        "fleet failover cold starts 2 exceeds the 0 ceiling "
+        "(replica seeding is not keeping failover warm)",
+}
+
+
+@pytest.mark.parametrize("row", GATES, ids=GATE_IDS)
+def test_violation_wording(tmp_path, capsys, row):
+    flag, bound, path, _, past = row[:5]
+    current = _base_entry()
+    _set(current, path, past)
+    _, err = _check(tmp_path, capsys, current, None, flag, bound)
+    violations = [line for line in err.splitlines() if line.startswith("  - ")]
+    assert violations == ["  - " + WORDING[flag]]
+
+
 @pytest.mark.parametrize("row", ABSOLUTE, ids=[r[0] for r in ABSOLUTE])
 def test_absolute_gate_requires_its_field(tmp_path, capsys, row):
     flag, bound, path = row[:3]
