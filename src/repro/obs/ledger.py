@@ -420,12 +420,11 @@ class Field:
 
     ``flag`` is the option that sets the bound, ``kind`` what it bounds,
     and ``default`` the bound without the option (``None``: not gated).
-    A violation calls the field ``gate`` (default: ``label``), prints its
-    values with the format ``fmt`` and, for a floor or ceiling, names the
-    likely cause, ``hint``.
-    ``missing`` is the reason a floor or ceiling gives when the current
-    entry lacks the field.  A row with ``per`` is derived, the share
-    ``path / per``; only its gate reads it.
+    A relative gate's violation calls the field ``gate`` (default:
+    ``label``); any other gate's violation is its ``says`` template, filled
+    with ``cur``, ``base`` and ``bound``.  ``missing`` is the violation of
+    a floor or ceiling when the current entry lacks the field.  A row with
+    ``per`` is derived, the share ``path / per``; only its gate reads it.
     """
 
     label: str
@@ -434,8 +433,7 @@ class Field:
     kind: str = RELATIVE
     default: Optional[float] = None
     gate: str = ""
-    fmt: str = "{:g}"
-    hint: str = ""
+    says: str = ""
     missing: str = ""
     per: Optional[Tuple[str, ...]] = None
 
@@ -479,7 +477,9 @@ FIELDS = (
     # An increase, not a ratio: healthy runs sit at exactly 0, where a
     # relative bound can never fire.
     Field("final via overflow", ("quality", "final_via_overflow"),
-          "--max-via-overflow-increase", INCREASE),
+          "--max-via-overflow-increase", INCREASE,
+          says="final via overflow rose {base:g} -> {cur:g} "
+               "(limit +{bound:g})"),
     Field("final via count", ("quality", "final_vias")),
     # Wall-clock is not comparable across machines; CI opts in generously.
     Field("runtime seconds", ("runtime", "total_seconds"),
@@ -490,7 +490,9 @@ FIELDS = (
     Field("non-converged partitions", ("convergence", "partitions", "nonconverged")),
     Field("non-converged partition fraction",
           ("convergence", "partitions", "nonconverged"),
-          "--max-nonconverged-increase", INCREASE, 0.10, fmt="{:.1%}",
+          "--max-nonconverged-increase", INCREASE, 0.10,
+          says="non-converged partition fraction rose {base:.1%} -> "
+               "{cur:.1%} (limit +{bound:.0%})",
           per=("convergence", "partitions", "count")),
     Field("overflow events", ("convergence", "partitions", "overflow_events")),
     # Dist-fabric runs (``--exec dist``): absent from pool/sequential runs.
@@ -516,24 +518,31 @@ FIELDS = (
           gate="serving p95 latency"),
     Field("serve throughput qps", ("serving", "throughput_qps")),
     Field("serve warm speedup", ("serving", "warm_speedup"),
-          "--min-warm-speedup", FLOOR, gate="serving warm speedup",
-          fmt="{:.2f}x", hint="resident warm state not being reused?",
-          missing="not a bench-serve entry?"),
+          "--min-warm-speedup", FLOOR,
+          says="serving warm speedup {cur:.2f}x is below the {bound:.2f}x "
+               "floor (resident warm state not being reused?)",
+          missing="warm-speedup gate requested but the current entry has "
+                  "no serving.warm_speedup (not a bench-serve entry?)"),
     Field("serve engine runs", ("serving", "engine_runs")),
     # Fleet entries (``repro bench-serve --gateway``): gateway-level
     # behaviour of the sharded topology.  Idempotent repeats that reach
     # solvers mean a broken cache; a failover that cannot seed from the
     # replica stream starts cold.
     Field("fleet cache hit rate", ("serving", "fleet", "cache_hit_rate"),
-          "--min-cache-hit-rate", FLOOR, fmt="{:.1%}",
-          hint="idempotent repeats are reaching solvers",
-          missing="not a fleet entry?"),
+          "--min-cache-hit-rate", FLOOR,
+          says="fleet cache hit rate {cur:.1%} is below the {bound:.1%} "
+               "floor (idempotent repeats are reaching solvers)",
+          missing="cache-hit-rate gate requested but the current entry "
+                  "has no serving.fleet.cache_hit_rate (not a fleet "
+                  "entry?)"),
     Field("fleet failovers", ("serving", "fleet", "failovers")),
     Field("fleet cold starts", ("serving", "fleet", "failover_cold_starts"),
           "--max-failover-cold-starts", CEILING,
-          gate="fleet failover cold starts",
-          hint="replica seeding is not keeping failover warm",
-          missing="not a fleet entry?"),
+          says="fleet failover cold starts {cur:g} exceed the {bound:g} "
+               "ceiling (replica seeding is not keeping failover warm)",
+          missing="failover-cold-start gate requested but the current "
+                  "entry has no serving.fleet.failover_cold_starts (not a "
+                  "fleet entry?)"),
     Field("fleet replica seeds", ("serving", "fleet", "replica_seeds")),
     Field("fleet engine runs", ("serving", "fleet", "engine_runs")),
     # ECO entries (``repro closure`` rounds / eco_apply campaigns): the
@@ -541,9 +550,11 @@ FIELDS = (
     # propagation got blunter, and an engine whose small edits dirty most
     # of the design has lost its reason to exist.
     Field("eco dirty fraction", ("eco", "dirty_fraction"),
-          "--max-dirty-fraction", CEILING, fmt="{:.1%}",
-          hint="edits are dirtying most of the design",
-          missing="not an ECO entry?"),
+          "--max-dirty-fraction", CEILING,
+          says="eco dirty fraction {cur:.1%} exceeds the {bound:.1%} "
+               "ceiling (edits are dirtying most of the design)",
+          missing="dirty-fraction gate requested but the current entry "
+                  "has no eco.dirty_fraction (not an ECO entry?)"),
     Field("eco dirty leaves", ("eco", "dirty_leaves")),
     Field("eco released nets", ("eco", "released")),
 )
@@ -624,35 +635,23 @@ def check_entries(
         if bound is None:
             continue
         cur = field.value(current)
-        name, show = field.gate or field.label, field.fmt.format
         if field.kind in (FLOOR, CEILING):
             if cur is None:
-                violations.append(
-                    f"{field.flag} requested but the current entry has no "
-                    f"{field.where} ({field.missing})"
-                )
-            elif field.kind == FLOOR and cur < bound:
-                violations.append(
-                    f"{name} {show(cur)} is below the {show(bound)} floor "
-                    f"({field.hint})"
-                )
-            elif field.kind == CEILING and cur > bound:
-                violations.append(
-                    f"{name} {show(cur)} exceeds the {show(bound)} ceiling "
-                    f"({field.hint})"
-                )
+                violations.append(field.missing)
+            elif cur < bound if field.kind == FLOOR else cur > bound:
+                violations.append(field.says.format(cur=cur, bound=bound))
             continue
         base = field.value(baseline)
         if base is None or cur is None:
             continue
         if field.kind == INCREASE and cur - base > bound:
             violations.append(
-                f"{name} rose {show(base)} -> {show(cur)} "
-                f"(limit +{show(bound)})"
+                field.says.format(base=base, cur=cur, bound=bound)
             )
         elif field.kind == RELATIVE and base > 0 and cur / base - 1.0 > bound:
             violations.append(
-                f"{name} regressed {cur / base - 1.0:+.1%} "
-                f"(limit {bound:+.1%}): {base:g} -> {cur:g}"
+                f"{field.gate or field.label} regressed "
+                f"{cur / base - 1.0:+.1%} (limit {bound:+.1%}): "
+                f"{base:g} -> {cur:g}"
             )
     return violations

@@ -157,7 +157,7 @@ WORDING = {
         "solver iterations p90 regressed +52.5% (limit +50.0%): 40 -> 61",
     "--max-nonconverged-increase":
         "non-converged partition fraction rose 5.0% -> 16.0% "
-        "(limit +10.0%)",
+        "(limit +10%)",
     "--max-runtime-regression":
         "runtime regressed +105.0% (limit +100.0%): 2 -> 4.1",
     "--max-serve-p95-regression":
@@ -174,7 +174,7 @@ WORDING = {
         "fleet cache hit rate 20.0% is below the 25.0% floor "
         "(idempotent repeats are reaching solvers)",
     "--max-failover-cold-starts":
-        "fleet failover cold starts 2 exceeds the 0 ceiling "
+        "fleet failover cold starts 2 exceed the 0 ceiling "
         "(replica seeding is not keeping failover warm)",
 }
 
