@@ -176,15 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_srv = sub.add_parser(
         "serve",
-        help="resident batch job server (POST /v1/assign, GET /metrics)",
+        help="resident job server (POST /v1/assign, GET /metrics)",
     )
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8181,
                        help="listen port (0 picks an ephemeral port)")
     p_srv.add_argument("--max-queue", type=int, default=32,
                        help="bounded queue depth; beyond it requests get 429")
-    p_srv.add_argument("--max-batch", type=int, default=8,
-                       help="max same-signature jobs served by one engine run")
     p_srv.add_argument("--engine-cache", type=int, default=4,
                        help="resident warm engines kept (LRU)")
     p_srv.add_argument("--default-deadline-ms", type=float, default=120000.0,
@@ -880,7 +878,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_queue=args.max_queue,
-            max_batch=args.max_batch,
             engine_cache=args.engine_cache,
             default_deadline_ms=args.default_deadline_ms,
             max_scale=args.max_scale,

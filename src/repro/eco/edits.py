@@ -24,9 +24,9 @@ Wire form (inside a ``repro.eco_request/v1`` body)::
     {"op": "release_nets",   "nets": [1, 2]}
     {"op": "release_nets",   "worst": 4}
 
-``edit_set_digest`` is the canonical sha256 of the list — the serving
-layer folds it into the request dedup key so identical deltas against the
-same epoch batch together.
+``edit_set_digest`` is the canonical sha256 of the list; every ECO
+report, ``/v1/eco`` response and ECO ledger entry carries it as
+``edit_digest``.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _net_list(body: Dict[str, Any]) -> Tuple[int, ...]:
             f"of {MAX_NETS_PER_EDIT}"
         )
     # Order-normalized: the edit means "this set of nets", and normalizing
-    # keeps the digest (hence serve-side dedup) insensitive to list order.
+    # keeps the digest insensitive to list order.
     return tuple(sorted(set(nets)))
 
 

@@ -49,8 +49,8 @@ class AssignRequest:
 
     ``signature()`` identifies the *problem and solving mode*: requests
     with equal signatures are guaranteed the bit-identical assignment, so
-    the batch scheduler may solve one and fan the result out ("dedup"),
-    and the engine host keys its resident warm state by it.  ``workers``
+    the engine host keys its resident, and the solved state that answers
+    repeats, by it.  ``workers``
     is part of the signature because sequential (Gauss–Seidel) and
     worker-process (Jacobi) solves legitimately produce different — both
     valid — assignments.  ``exec_backend`` (JSON key ``"exec"``) is part of the
@@ -163,17 +163,6 @@ class AssignRequest:
             key += f"|maze_limit={mel}"
         return key
 
-    def dedup_key(self) -> Tuple:
-        """Identity for queue batching: requests sharing it get one solve.
-
-        For a plain assign request this is the signature (equal signatures
-        are bit-identical by construction).  :class:`EcoRequest` overrides
-        it to fold in the epoch and the edit-set digest — two ECO deltas
-        batch together only when they are the *same* delta against the
-        *same* committed state.
-        """
-        return ("assign",) + self.signature()
-
     def to_json(self) -> Dict[str, Any]:
         body: Dict[str, Any] = {
             "schema": REQUEST_SCHEMA,
@@ -214,14 +203,11 @@ class EcoRequest(AssignRequest):
 
     edits: Tuple[Any, ...] = ()
     state_epoch: int = 0
-    # Digest of the canonical edit-set JSON, precomputed at parse time so
-    # the queue's dedup_key() stays cheap.
-    edit_digest: str = ""
 
     @classmethod
     def from_json(cls, payload: Any) -> "EcoRequest":
         """Parse and validate one ``/v1/eco`` body (raises :class:`RequestError`)."""
-        from repro.eco.edits import EditError, edit_set_digest, parse_edits
+        from repro.eco.edits import EditError, parse_edits
 
         if not isinstance(payload, dict):
             raise RequestError("request body must be a JSON object")
@@ -266,13 +252,6 @@ class EcoRequest(AssignRequest):
             maze_expansion_limit=base.maze_expansion_limit,
             edits=edits,
             state_epoch=state_epoch,
-            edit_digest=edit_set_digest(edits),
-        )
-
-    def dedup_key(self) -> Tuple:
-        """Two ECO jobs dedup only as the same delta against the same epoch."""
-        return (
-            ("eco",) + self.signature() + (self.state_epoch, self.edit_digest)
         )
 
     def to_json(self) -> Dict[str, Any]:

@@ -346,7 +346,7 @@ def render_entry(entry: Dict[str, Any]) -> str:
             f"qps (target {serving.get('target_qps', 0.0):g})",
             f"  requests             {req.get('ok', 0)} ok, "
             f"{req.get('rejected_429', 0)} rejected, "
-            f"{req.get('errors', 0)} errors, {req.get('deduped', 0)} deduped",
+            f"{req.get('errors', 0)} errors",
             f"  queue depth p50/p95/max  {depth.get('p50', 0):g}/"
             f"{depth.get('p95', 0):g}/{depth.get('max', 0):g}",
         ])

@@ -1,4 +1,4 @@
-"""Serving layer: a resident async batch job server over the optimizers.
+"""Serving layer: a resident async job server over the optimizers.
 
 The one-shot CLI pays process startup, routing and worker spawning on
 every invocation.  This package keeps that state **resident** and serves
@@ -9,8 +9,9 @@ assignment requests over HTTP:
 - :mod:`repro.service.resident` — prepared benchmarks + warm engines
   (Elmore fingerprint cache, leaf backend with its worker processes)
   cached per problem signature in a capacity-bounded LRU;
-- :mod:`repro.service.batcher` — single-dispatcher batch scheduler that
-  dedups same-signature jobs into one engine run and fans the result out;
+- :mod:`repro.service.batcher` — the single dispatcher that serves one
+  job at a time on the engine thread: a resident's first assign and its
+  ECO applies run the engine, every repeat answers from its solved state;
 - :mod:`repro.service.http` — the serving tier's one HTTP edge, shared
   with the fleet gateway: request parsing, ``traceparent`` continuation
   and the request span, the 400/404/405 and crash-isolating 500 replies,

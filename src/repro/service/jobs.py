@@ -10,12 +10,8 @@ dispatch time — the scheduler never spends engine seconds on a request
 whose client has already given up — and their futures complete with
 :class:`JobExpired` (HTTP 504).
 
-``get_batch`` is the scheduler's side: it blocks until work is available,
-then returns the oldest job *plus every other queued job with the same
-dedup key* (up to ``max_batch``).  Equal dedup keys — the signature for
-assign requests, signature + epoch + edit digest for ECO requests — are
-guaranteed the bit-identical answer, so one engine run serves the whole
-batch.
+``get`` is the scheduler's side: it blocks until work is available,
+then returns the oldest job.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, Optional
 
 from repro.ispd.request import AssignRequest
 from repro.obs import metrics
@@ -62,8 +58,8 @@ class Job:
     depth_at_enqueue: int = 0
     started_at: Optional[float] = None
     # Request-scoped trace context (trace_id + the HTTP request span id);
-    # the scheduler attaches the batch leader's context on the engine
-    # thread so the whole solve nests under that request's trace.
+    # the scheduler attaches it on the engine thread so the whole solve
+    # nests under that request's trace.
     ctx: Optional[TraceContext] = None
 
     @classmethod
@@ -94,7 +90,7 @@ class Job:
 
 
 class JobQueue:
-    """Bounded FIFO of :class:`Job` with signature-batched dispatch."""
+    """Bounded FIFO of :class:`Job`, dispatched one job at a time."""
 
     def __init__(self, max_depth: int = 32) -> None:
         if max_depth < 1:
@@ -134,8 +130,8 @@ class JobQueue:
 
     # -- consumer side ----------------------------------------------------
 
-    async def get_batch(self, max_batch: int = 8) -> Optional[List[Job]]:
-        """Next signature-grouped batch; ``None`` once closed and drained.
+    async def get(self) -> Optional[Job]:
+        """The oldest queued job; ``None`` once closed and drained.
 
         Expired jobs are completed with :class:`JobExpired` here rather
         than dispatched.
@@ -143,7 +139,7 @@ class JobQueue:
         while True:
             self._drop_expired()
             if self._jobs:
-                return self._pop_batch(max_batch)
+                return self._jobs.popleft()
             if self._closed:
                 return None
             self._waiter = asyncio.get_running_loop().create_future()
@@ -151,26 +147,6 @@ class JobQueue:
                 await self._waiter
             finally:
                 self._waiter = None
-
-    def _pop_batch(self, max_batch: int) -> List[Job]:
-        leader = self._jobs.popleft()
-        batch = [leader]
-        if max_batch > 1:
-            key = leader.request.dedup_key()
-            rest: List[Job] = []
-            while self._jobs:
-                job = self._jobs.popleft()
-                if (
-                    len(batch) < max_batch
-                    and job.request.dedup_key() == key
-                ):
-                    batch.append(job)
-                else:
-                    rest.append(job)
-            self._jobs.extend(rest)
-        if len(batch) > 1:
-            metrics.inc("serve.jobs_deduped", len(batch) - 1)
-        return batch
 
     def _drop_expired(self) -> None:
         if not self._jobs:
@@ -193,7 +169,7 @@ class JobQueue:
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Stop admitting; queued jobs still drain through ``get_batch``."""
+        """Stop admitting; queued jobs still drain through ``get``."""
         self._closed = True
         self._wake()
 

@@ -66,7 +66,6 @@ class FleetTopology:
         self,
         num_shards: int,
         max_queue: int = 32,
-        max_batch: int = 8,
         max_workers: int = 4,
         cache_capacity: int = 256,
     ) -> None:
@@ -77,7 +76,6 @@ class FleetTopology:
         self.gateway: Optional[FrontThread] = None
         self._ring = None
         self._max_queue = max_queue
-        self._max_batch = max_batch
         self._max_workers = max_workers
         self._cache_capacity = cache_capacity
 
@@ -91,7 +89,6 @@ class FleetTopology:
                 ServeConfig(
                     port=0,
                     max_queue=self._max_queue,
-                    max_batch=self._max_batch,
                     max_workers=self._max_workers,
                     fleet_shard_id=shard_id,
                     replica_listen=("127.0.0.1", 0),
@@ -176,7 +173,6 @@ class LoadGenConfig:
     verify: bool = False
     url: Optional[str] = None  # None -> spawn an in-process server
     max_queue: int = 32
-    max_batch: int = 8
     # Tracing: export the campaign's spans (in-process server only — a
     # --url server records spans in its own process) and link the entry.
     trace_out: Optional[str] = None
@@ -442,7 +438,6 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
         fleet = FleetTopology(
             cfg.shards,
             max_queue=cfg.max_queue,
-            max_batch=cfg.max_batch,
             max_workers=max(4, cfg.workers),
             cache_capacity=cfg.cache_capacity,
         ).start()
@@ -453,7 +448,6 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
             ServeConfig(
                 port=0,
                 max_queue=cfg.max_queue,
-                max_batch=cfg.max_batch,
                 max_workers=max(4, cfg.workers),
                 dist_listen=cfg.dist_listen,
                 dist_authkey=cfg.dist_authkey,
@@ -502,7 +496,6 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
     result = LoadGenResult(entry={})
     latencies: List[float] = []
     depths: List[float] = []
-    deduped = 0
     slowest: Tuple[float, Optional[str]] = (-1.0, None)
     for ms, status, payload in measured["load"]:
         trace_id = (
@@ -515,8 +508,6 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
                 slowest = (ms, trace_id)
             serving = payload.get("serving", {})
             depths.append(float(serving.get("queue_depth", 0)))
-            if serving.get("deduped"):
-                deduped += 1
             result.digests.append(payload.get("assignment_digest", ""))
         elif status == 429:
             result.rejected += 1
@@ -614,7 +605,6 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
             "ok": result.ok,
             "rejected_429": result.rejected,
             "errors": result.errors,
-            "deduped": deduped,
         },
         "queue_depth": {
             "p50": percentile(depths, 0.50),
@@ -680,7 +670,7 @@ def render_summary(result: LoadGenResult) -> str:
         f"  cold {s['first_request_ms']:.0f}ms -> warm "
         f"{s['warm_request_ms']:.0f}ms  (speedup {s['warm_speedup']:.2f}x)",
         f"  load: {req['ok']}/{req['sent']} ok, {req['rejected_429']} "
-        f"rejected (429), {req['errors']} errors, {req['deduped']} deduped",
+        f"rejected (429), {req['errors']} errors",
         f"  latency p50/p95/p99: {lat['p50']:.0f}/{lat['p95']:.0f}/"
         f"{lat['p99']:.0f} ms   throughput {s['throughput_qps']:.2f} qps "
         f"(target {s['target_qps']:g})",

@@ -26,7 +26,7 @@ Every request is trace-scoped: the edge continues an incoming W3C
 every JSON response body and ``X-Trace-Id`` header — 429/500/504
 included.  When tracing is enabled, the detached ``serve.request`` span
 roots the request's span tree (engine and worker spans nest under it
-through the batch scheduler; see ``repro obs trace``).
+through the scheduler's engine thread; see ``repro obs trace``).
 
 Lifecycle: SIGTERM/SIGINT (or ``/v1/drain``) stops admission, lets
 in-flight and queued jobs finish on the engine thread, closes resident
@@ -65,7 +65,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8181
     max_queue: int = 32
-    max_batch: int = 8
     engine_cache: int = 4
     default_deadline_ms: Optional[float] = 120000.0
     max_body_bytes: int = 1 << 20
@@ -94,8 +93,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if self.replica_listen is not None and self.fleet_authkey is None:
             raise ValueError("replica_listen requires fleet_authkey")
         if self.replica_listen is not None and self.fleet_shard_id is None:
@@ -103,7 +100,7 @@ class ServeConfig:
 
 
 class AssignServer(http.HttpFront):
-    """One resident serving process: queue + batcher on the HTTP edge."""
+    """One resident serving process: queue + dispatcher on the HTTP edge."""
 
     metric_prefix = "serve"
     span_name = "serve.request"
@@ -126,9 +123,7 @@ class AssignServer(http.HttpFront):
             dist_listen=self.config.dist_listen,
             dist_authkey=self.config.dist_authkey,
         )
-        self.scheduler = BatchScheduler(
-            self.queue, self.host, self.config.max_batch
-        )
+        self.scheduler = BatchScheduler(self.queue, self.host)
         self._draining = False
         self._drain_task: Optional[asyncio.Task] = None
         self._replica_receiver = None  # repro.fleet.replica.ReplicaReceiver
@@ -154,10 +149,9 @@ class AssignServer(http.HttpFront):
         self.scheduler.start()
         await self.listen()
         log.info(
-            "serving on http://%s:%d (queue=%d, batch=%d, engines=%d)",
+            "serving on http://%s:%d (queue=%d, engines=%d)",
             self.config.host, self.port,
-            self.config.max_queue, self.config.max_batch,
-            self.config.engine_cache,
+            self.config.max_queue, self.config.engine_cache,
         )
 
     def initiate_shutdown(self, reason: str = "requested") -> None:

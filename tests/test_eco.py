@@ -12,6 +12,8 @@ pinned here too.
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -129,19 +131,6 @@ class TestEcoRequest:
             if k not in ("edits", "state_epoch", "schema")
         })
         assert request.signature() == assign.signature()
-        assert request.dedup_key() != assign.dedup_key()
-
-    def test_dedup_key_folds_epoch_and_edits(self):
-        base = EcoRequest.from_json(dict(ECO_BODY))
-        other_epoch = EcoRequest.from_json({**ECO_BODY, "state_epoch": 1})
-        other_edits = EcoRequest.from_json({
-            **ECO_BODY,
-            "edits": [{"op": "release_nets", "worst": 2}],
-        })
-        same = EcoRequest.from_json(dict(ECO_BODY))
-        assert base.dedup_key() == same.dedup_key()
-        assert base.dedup_key() != other_epoch.dedup_key()
-        assert base.dedup_key() != other_edits.dedup_key()
 
     def test_rejections(self):
         for patch in (
@@ -393,7 +382,7 @@ class TestServeEco:
         from repro.service import AssignServer, FrontThread, ServeConfig
 
         with FrontThread(
-            AssignServer, ServeConfig(port=0, max_queue=8, max_batch=4)
+            AssignServer, ServeConfig(port=0, max_queue=8)
         ) as srv:
             yield srv
 
@@ -427,6 +416,72 @@ class TestServeEco:
         )
         assert status == 200
         assert second["state_epoch"] == 2
+
+    def test_duplicate_queued_delta_gets_409(self, server, monkeypatch):
+        """Two identical deltas queued together are two deltas: one
+        applies, and the other names the epoch the first one left."""
+        import repro.pipeline as pipeline
+        from repro.service import http_request
+
+        building, release = threading.Event(), threading.Event()
+        real_prepare = pipeline.prepare
+
+        def held_prepare(*args, **kwargs):
+            building.set()
+            release.wait(timeout=120)
+            return real_prepare(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "prepare", held_prepare)
+        # A resident no other test builds: its cold build holds the engine
+        # while both deltas queue behind it.
+        eco = {**ECO_BODY, "ratio_percent": 3}
+        assign = {
+            k: v for k, v in eco.items()
+            if k not in ("edits", "state_epoch", "schema")
+        }
+        host, port = server.config.host, server.port
+
+        async def post(path, body):
+            return await http_request(
+                host, port, "POST", path, body, timeout=180.0
+            )
+
+        async def main():
+            build = asyncio.create_task(post("/v1/assign", assign))
+            await asyncio.get_running_loop().run_in_executor(
+                None, building.wait, 60
+            )
+            deltas = [
+                asyncio.create_task(post("/v1/eco", dict(eco)))
+                for _ in range(2)
+            ]
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                _, ready = await http_request(host, port, "GET", "/readyz")
+                if ready["queue_depth"] == 2:
+                    break
+                await asyncio.sleep(0.02)
+            release.set()
+            assert (await build)[0] == 200
+            return await asyncio.gather(*deltas)
+
+        try:
+            replies = asyncio.run(main())
+        finally:
+            release.set()
+        assert sorted(status for status, _ in replies) == [200, 409]
+        applied = next(body for status, body in replies if status == 200)
+        stale = next(body for status, body in replies if status == 409)
+        assert applied["state_epoch"] == 1
+        assert stale["error"]["type"] == "stale_epoch"
+        assert stale["error"]["expected_epoch"] == 0
+        assert stale["error"]["current_epoch"] == 1
+        # The conflict kept the resident: a delta at epoch 1 applies.
+        status, chained = self._post(
+            server, "/v1/eco", {**eco, "state_epoch": 1}
+        )
+        assert status == 200
+        assert chained["state_epoch"] == 2
 
     def test_full_solve_resets_the_epoch(self, server):
         assign = {

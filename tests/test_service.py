@@ -130,39 +130,8 @@ class TestJobQueue:
             queue.close()
             with pytest.raises(QueueClosed):
                 queue.submit(_job(request, loop))
-            batch = await queue.get_batch()
-            assert batch == [queued]  # close() still drains queued work
-            assert await queue.get_batch() is None
-
-        asyncio.run(main())
-
-    def test_batches_group_by_signature(self):
-        async def main():
-            loop = asyncio.get_running_loop()
-            queue = JobQueue(max_depth=8)
-            a = AssignRequest.from_json(dict(BODY))
-            b = AssignRequest.from_json({**BODY, "ratio_percent": 3})
-            jobs = [
-                _job(a, loop), _job(b, loop), _job(a, loop), _job(a, loop)
-            ]
-            for job in jobs:
-                queue.submit(job)
-            first = await queue.get_batch(max_batch=8)
-            assert [j.request for j in first] == [a, a, a]
-            second = await queue.get_batch(max_batch=8)
-            assert [j.request for j in second] == [b]
-
-        asyncio.run(main())
-
-    def test_max_batch_caps_the_group(self):
-        async def main():
-            loop = asyncio.get_running_loop()
-            queue = JobQueue(max_depth=8)
-            request = AssignRequest.from_json(dict(BODY))
-            for _ in range(5):
-                queue.submit(_job(request, loop))
-            assert len(await queue.get_batch(max_batch=2)) == 2
-            assert len(queue) == 3
+            assert await queue.get() == queued  # close() still drains
+            assert await queue.get() is None
 
         asyncio.run(main())
 
@@ -179,8 +148,7 @@ class TestJobQueue:
             live = _job(request, loop)
             queue.submit(dead)
             queue.submit(live)
-            batch = await queue.get_batch()
-            assert batch == [live]
+            assert await queue.get() == live
             with pytest.raises(JobExpired):
                 await dead.future
 
@@ -239,37 +207,12 @@ class _StubHost:
 
 
 class TestBatchScheduler:
-    def test_same_signature_batch_solved_once_and_fanned_out(self):
-        async def main():
-            loop = asyncio.get_running_loop()
-            queue = JobQueue(max_depth=8)
-            host = _StubHost()
-            scheduler = BatchScheduler(queue, host, max_batch=8)
-            scheduler.start()
-            request = AssignRequest.from_json(dict(BODY))
-            jobs = [_job(request, loop) for _ in range(3)]
-            for job in jobs:
-                queue.submit(job)
-            responses = await asyncio.gather(*(j.future for j in jobs))
-            queue.close()
-            await scheduler.join()
-            return responses, host
-
-        responses, host = asyncio.run(main())
-        assert host.solves == 1  # dedup: one engine run served all three
-        assert host.closed
-        for response in responses:
-            assert response["assignment_digest"] == "sha256:stub"
-            assert response["serving"]["batch_size"] == 3
-            assert response["serving"]["deduped"] is True
-            assert response["result_class"] == "ok"
-
     def test_solve_failure_is_isolated_and_resident_discarded(self):
         async def main():
             loop = asyncio.get_running_loop()
             queue = JobQueue(max_depth=8)
             host = _StubHost(fail_first=1)
-            scheduler = BatchScheduler(queue, host, max_batch=8)
+            scheduler = BatchScheduler(queue, host)
             scheduler.start()
             request = AssignRequest.from_json(dict(BODY))
             doomed = _job(request, loop)
@@ -360,7 +303,7 @@ class TestServerEndToEnd:
     @pytest.fixture(scope="class")
     def server(self):
         with FrontThread(
-            AssignServer, ServeConfig(port=0, max_queue=16, max_batch=8)
+            AssignServer, ServeConfig(port=0, max_queue=16)
         ) as thread:
             yield thread
 
@@ -410,14 +353,14 @@ class TestServerEndToEnd:
 
         responses = asyncio.run(main())
         digests = set()
-        deduped = 0
         for status, payload in responses:
             assert status == 200
             assert payload["schema"] == "repro.assign_response/v1"
             digests.add(payload["assignment_digest"])
-            deduped += bool(payload["serving"]["deduped"])
+            # One engine run: the first request solved, the rest were
+            # answered from the resident's solved state.
+            assert payload["serving"]["engine_runs"] == 1
         assert len(digests) == 1
-        assert deduped >= 1  # burst of equal requests shared engine runs
         assert digests.pop() == _cli_path_digest()
 
     def test_warm_requests_reuse_resident_state(self, server):
@@ -514,7 +457,7 @@ class TestBackpressureAndDrain:
             assert (await second)[0] == 200
 
         with FrontThread(
-            AssignServer, ServeConfig(port=0, max_queue=1, max_batch=1)
+            AssignServer, ServeConfig(port=0, max_queue=1)
         ) as server:
             asyncio.run(main())
 

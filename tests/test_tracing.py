@@ -463,7 +463,7 @@ class TestServeDistTracing:
             stderr=subprocess.DEVNULL,
         )
         server = FrontThread(AssignServer, ServeConfig(
-            port=0, max_queue=16, max_batch=4,
+            port=0, max_queue=16,
             dist_listen=("127.0.0.1", port),
             dist_authkey=b"trace-test-secret",
         )).start()
@@ -526,7 +526,7 @@ class TestServeDistTracing:
         monkeypatch.setenv("REPRO_DIST_FAULT", "crash:0:1")
         tracer.enable()
         server = FrontThread(AssignServer, ServeConfig(
-            port=0, max_queue=16, max_batch=4
+            port=0, max_queue=16
         )).start()
         body = {**BODY, "workers": 2, "exec": "dist"}
         try:
