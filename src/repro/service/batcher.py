@@ -105,7 +105,7 @@ class BatchScheduler:
             if job.future.done():  # its client went away while it queued
                 continue
             self.in_flight = 1
-            started = job.started_at = time.monotonic()
+            started = time.monotonic()
             try:
                 report, digest, assignment, engine = (
                     await loop.run_in_executor(self._executor, self._solve, job)

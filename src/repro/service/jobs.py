@@ -56,7 +56,6 @@ class Job:
     enqueued_at: float = field(default_factory=time.monotonic)
     deadline: Optional[float] = None  # monotonic seconds, absolute
     depth_at_enqueue: int = 0
-    started_at: Optional[float] = None
     # Request-scoped trace context (trace_id + the HTTP request span id);
     # the scheduler attaches it on the engine thread so the whole solve
     # nests under that request's trace.
