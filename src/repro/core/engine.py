@@ -111,7 +111,6 @@ class CPLAConfig:
     # steal the fast layers out from under the worst paths ("the segments
     # leading to critical sinks are preferred", Section 1).
     protect_fraction: float = 0.9
-    leaf_order: str = "spatial"  # or "criticality": hottest partitions first
     workers: int = 0
     # Execution backend of the leaf solves:
     # - "pool" / "dist": with workers > 1, the coordinator/worker solve
@@ -140,8 +139,6 @@ class CPLAConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0 < self.critical_ratio <= 1:
             raise ValueError("critical_ratio must be a fraction in (0, 1]")
-        if self.leaf_order not in ("spatial", "criticality"):
-            raise ValueError(f"unknown leaf_order {self.leaf_order!r}")
         if self.exec_backend not in ("pool", "dist", "batch", "seq"):
             raise ValueError(f"unknown exec_backend {self.exec_backend!r}")
         if self.exec_backend == "batch" and self.method != "sdp":
@@ -526,12 +523,6 @@ class CPLAEngine:
                 k_division or cfg.k_division,
                 limit,
             )
-            if cfg.leaf_order == "criticality":
-                # Hottest partitions claim contended tracks first (the
-                # capacity ledger is first-come-first-served).
-                leaves.sort(
-                    key=lambda leaf: -max(weights.get(k, 1.0) for k in leaf[1])
-                )
 
         metrics.inc("engine.partitions", len(leaves))
         ledger = CapacityLedger(self.grid)

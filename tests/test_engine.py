@@ -110,7 +110,3 @@ class TestConfigValidation:
     def test_bad_ratio(self):
         with pytest.raises(ValueError):
             CPLAConfig(critical_ratio=2.0)
-
-    def test_bad_leaf_order(self):
-        with pytest.raises(ValueError):
-            CPLAConfig(leaf_order="bogus")
