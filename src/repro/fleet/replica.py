@@ -29,6 +29,8 @@ successor costs one logged warning, never the request.
 
 from __future__ import annotations
 
+import os
+import socket
 import threading
 from dataclasses import dataclass, field
 from multiprocessing.connection import Client, Listener
@@ -98,6 +100,8 @@ class ReplicaReceiver(threading.Thread):
     ``multiprocessing.connection`` HMAC challenge with a shared authkey.
     One connection is served at a time — pushes are short, and a peer
     that stalls mid-frame only stalls replication, never serving.
+    :meth:`close` wakes the thread wherever it waits, so a shard's drain
+    does not wait on an idle listener or a silent peer.
     """
 
     def __init__(
@@ -106,7 +110,9 @@ class ReplicaReceiver(threading.Thread):
         super().__init__(name="replica-receiver", daemon=True)
         self.store = store if store is not None else ReplicaStore()
         self._listener = Listener(listen, authkey=authkey)
+        self._lock = threading.Lock()
         self._closing = False
+        self._conn = None  # the connection being served, if any
 
     @property
     def address(self) -> Address:
@@ -118,16 +124,25 @@ class ReplicaReceiver(threading.Thread):
             try:
                 conn = self._listener.accept()
             except Exception:
-                # Auth failure from a stranger, or the listener closing
-                # out from under accept() during shutdown.
-                if self._closing:
-                    break
+                # Auth failure from a stranger, or the wake-up connection
+                # of close().
                 continue
+            with self._lock:
+                if self._closing:
+                    conn.close()
+                    break
+                self._conn = conn
             try:
-                with conn:
-                    self._serve_connection(conn)
+                self._serve_connection(conn)
             except (EOFError, OSError, ProtocolError) as exc:
-                log.warning("replica connection dropped: %s", exc)
+                if not self._closing:
+                    log.warning("replica connection dropped: %s", exc)
+            finally:
+                # Closed under the lock, so close() never shuts down a
+                # descriptor number that was already reused.
+                with self._lock:
+                    self._conn = None
+                    conn.close()
 
     def _serve_connection(self, conn) -> None:
         while True:
@@ -158,7 +173,26 @@ class ReplicaReceiver(threading.Thread):
             })
 
     def close(self) -> None:
-        self._closing = True
+        """Stop accepting, end the served connection, and join the thread.
+
+        Closing a ``Listener`` wakes neither a thread blocked in
+        ``accept()`` nor one waiting on a connection, so :meth:`close`
+        shuts the served connection's socket down and connects once to
+        the listener, which fails its handshake and frees ``accept()``.
+        """
+        with self._lock:
+            self._closing = True
+            if self._conn is not None:
+                with socket.socket(fileno=os.dup(self._conn.fileno())) as sock:
+                    try:
+                        sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:  # the peer already hung up
+                        pass
+        if self.is_alive():
+            try:
+                socket.create_connection(self.address, timeout=1.0).close()
+            except OSError:
+                pass
         try:
             self._listener.close()
         except OSError:

@@ -17,6 +17,8 @@ import socket
 import subprocess
 import sys
 import threading
+import time
+from multiprocessing.connection import Client
 
 import pytest
 from hypothesis import given, settings
@@ -302,6 +304,28 @@ class TestReplication:
             assert len(receiver.store) == 0
         finally:
             receiver.close()
+
+    def test_close_stops_an_idle_receiver_promptly(self):
+        receiver = ReplicaReceiver(("127.0.0.1", 0), AUTHKEY)
+        receiver.start()
+        time.sleep(0.1)  # the thread now waits in accept()
+        started = time.monotonic()
+        receiver.close()
+        assert time.monotonic() - started < 1.0
+        assert not receiver.is_alive()
+
+    def test_close_ends_a_silent_peer_connection_promptly(self):
+        receiver = ReplicaReceiver(("127.0.0.1", 0), AUTHKEY)
+        receiver.start()
+        peer = Client(receiver.address, authkey=AUTHKEY)  # sends nothing
+        try:
+            time.sleep(0.1)  # the thread now waits for the peer's frame
+            started = time.monotonic()
+            receiver.close()
+            assert time.monotonic() - started < 1.0
+            assert not receiver.is_alive()
+        finally:
+            peer.close()
 
     def test_replicator_routes_to_ring_successor(self):
         ring = HashRing(["s0", "s1"])
