@@ -64,14 +64,6 @@ EXIT_OVERFLOW = 3
 EXIT_INFEASIBLE = 4
 
 
-def _parse_hostport(text: str):
-    """``HOST:PORT`` -> ``(host, port)``, or ``None`` when malformed."""
-    host, _, port_text = text.rpartition(":")
-    if host and port_text.isdigit():
-        return host, int(port_text)
-    return None
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=1.0, help="net-count scale factor")
     parser.add_argument("--ratio", type=float, default=0.5, help="critical ratio in percent (paper: 0.5)")
@@ -826,7 +818,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.service import AssignServer, ServeConfig
-    from repro.service.http import run_front
+    from repro.service.http import parse_address, run_front
 
     dist_listen, dist_authkey, code = _dist_listen_args(args, "serve")
     if code is not None:
@@ -852,7 +844,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         fleet_authkey = secret.encode("utf-8")
         if args.replica_listen:
-            replica_listen = _parse_hostport(args.replica_listen)
+            replica_listen = parse_address(args.replica_listen)
             if replica_listen is None:
                 print(
                     f"--replica-listen must look like HOST:PORT, got "
@@ -864,7 +856,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fleet_peers = {}
             for spec in args.replica_peer:
                 shard_id, _, addr_text = spec.partition("=")
-                address = _parse_hostport(addr_text)
+                address = parse_address(addr_text)
                 if not shard_id or address is None:
                     print(
                         f"--replica-peer must look like ID=HOST:PORT, got "
@@ -903,16 +895,12 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.fleet import Gateway, GatewayConfig
-    from repro.service.http import run_front
+    from repro.service.http import parse_address, run_front
 
     shards = {}
     for spec in args.shards:
         shard_id, _, url = spec.partition("=")
-        trimmed = url
-        for prefix in ("http://", "https://"):
-            if trimmed.startswith(prefix):
-                trimmed = trimmed[len(prefix):]
-        address = _parse_hostport(trimmed.rstrip("/"))
+        address = parse_address(url)
         if not shard_id or address is None:
             print(
                 f"--shard must look like ID=http://HOST:PORT, got {spec!r}",
@@ -945,8 +933,9 @@ def _cmd_dist_worker(args: argparse.Namespace) -> int:
     from multiprocessing import AuthenticationError
 
     from repro.dist.worker import connect_and_serve
+    from repro.service.http import parse_address
 
-    address = _parse_hostport(args.connect)
+    address = parse_address(args.connect)
     if address is None:
         print(
             f"--connect must look like HOST:PORT, got {args.connect!r}",
@@ -992,7 +981,9 @@ def _dist_listen_args(args: argparse.Namespace, command: str):
     """
     if not getattr(args, "dist_listen", None):
         return None, None, None
-    address = _parse_hostport(args.dist_listen)
+    from repro.service.http import parse_address
+
+    address = parse_address(args.dist_listen)
     if address is None:
         print(
             f"--dist-listen must look like HOST:PORT, got "
@@ -1012,7 +1003,7 @@ def _dist_listen_args(args: argparse.Namespace, command: str):
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.service import LoadGenConfig, render_summary, run_loadgen
+    from repro.service import LoadGenConfig, run_loadgen
 
     dist_listen, dist_authkey, code = _dist_listen_args(args, "bench-serve")
     if code is not None:
@@ -1060,7 +1051,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     except (RuntimeError, ValueError, OSError) as exc:
         print(f"bench-serve: {exc}", file=sys.stderr)
         return 1
-    print(render_summary(result))
+    print(run_ledger.render_entry(result.entry))
     if args.ledger:
         run_ledger.append_entry(args.ledger, result.entry)
         print(f"appended serve-ledger entry to {args.ledger}")

@@ -344,12 +344,27 @@ def render_entry(entry: Dict[str, Any]) -> str:
             f"(speedup {serving.get('warm_speedup', 0.0):.2f}x)",
             f"  throughput           {serving.get('throughput_qps', 0.0):.2f} "
             f"qps (target {serving.get('target_qps', 0.0):g})",
-            f"  requests             {req.get('ok', 0)} ok, "
-            f"{req.get('rejected_429', 0)} rejected, "
+            f"  requests             {req.get('ok', 0)}/{req.get('sent', 0)} "
+            f"ok, {req.get('rejected_429', 0)} rejected, "
             f"{req.get('errors', 0)} errors",
             f"  queue depth p50/p95/max  {depth.get('p50', 0):g}/"
             f"{depth.get('p95', 0):g}/{depth.get('max', 0):g}",
         ])
+        eco_rounds = serving.get("eco")
+        if eco_rounds:
+            lines.append(
+                f"  eco rounds           {eco_rounds.get('ok', 0)}/"
+                f"{eco_rounds.get('rounds', 0)} ok "
+                f"({eco_rounds.get('accepted', 0)} accepted), final epoch "
+                f"{eco_rounds.get('final_epoch', 0)}, p50 "
+                f"{eco_rounds.get('latency_ms', {}).get('p50', 0.0):.0f} ms"
+            )
+        verified = serving.get("verified_against_run")
+        lines.append(
+            f"  digests consistent   {serving.get('digest_consistent')}"
+            + (f", verified vs repro run: {verified}"
+               if verified is not None else "")
+        )
         if "engine_runs" in serving:
             lines.append(f"  engine runs          {serving['engine_runs']}")
         fleet = serving.get("fleet")
@@ -367,6 +382,14 @@ def render_entry(entry: Dict[str, Any]) -> str:
                 f"pushes {fleet.get('replica_pushes', 0)}  "
                 f"engine runs {fleet.get('engine_runs', 0)}",
             ])
+            failover = fleet.get("failover")
+            if failover:
+                lines.append(
+                    f"  failover probes {failover.get('ok', 0)}/"
+                    f"{failover.get('probes', 0)} ok after shard "
+                    f"{failover.get('victim', '?')!r} stopped  (max "
+                    f"{failover.get('latency_ms', {}).get('max', 0.0):.0f} ms)"
+                )
     eco = entry.get("eco")
     if eco:
         lines.extend([

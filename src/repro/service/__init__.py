@@ -35,12 +35,7 @@ from __future__ import annotations
 from repro.service.batcher import BatchScheduler, JobConflict, JobFailed
 from repro.service.http import FrontThread, http_request
 from repro.service.jobs import Job, JobExpired, JobQueue, QueueClosed, QueueFull
-from repro.service.loadgen import (
-    LoadGenConfig,
-    LoadGenResult,
-    render_summary,
-    run_loadgen,
-)
+from repro.service.loadgen import LoadGenConfig, LoadGenResult, run_loadgen
 from repro.service.resident import EngineHost, ResidentEngine, StaleEpoch
 from repro.service.server import AssignServer, ServeConfig
 
@@ -62,6 +57,5 @@ __all__ = [
     "ServeConfig",
     "StaleEpoch",
     "http_request",
-    "render_summary",
     "run_loadgen",
 ]

@@ -17,9 +17,10 @@ gateway's error passthrough *byte*-compatible.
 
 The module also holds the signal-aware serve loop (:func:`run_front`,
 :meth:`HttpFront.serve_forever`), the thread host for in-process fronts
-(:class:`FrontThread`) and the one HTTP/1.1 client (:func:`exchange`;
+(:class:`FrontThread`), the one HTTP/1.1 client (:func:`exchange`;
 :func:`http_request` decodes JSON on top of it) used by the gateway's
-shard hops and health probes and by ``bench-serve``.
+shard hops and health probes and by ``bench-serve``, and the one
+``HOST:PORT`` parser (:func:`parse_address`) of the command-line flags.
 """
 
 from __future__ import annotations
@@ -403,6 +404,22 @@ class FrontThread:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+def parse_address(text: str) -> Optional[Address]:
+    """``HOST:PORT`` -> ``(host, port)``, or ``None`` when malformed.
+
+    An ``http://`` or ``https://`` scheme and a trailing ``/`` are
+    accepted and dropped; the port follows the last colon.
+    """
+    text = text.strip()
+    for scheme in ("http://", "https://"):
+        if text.startswith(scheme):
+            text = text[len(scheme):]
+    host, _, port = text.rstrip("/").rpartition(":")
+    if host and port.isdigit():
+        return host, int(port)
+    return None
 
 
 async def exchange(

@@ -39,7 +39,7 @@ from repro.ispd.request import (
 from repro.obs import ledger as run_ledger
 from repro.obs import tracer
 from repro.obs.traceview import percentile
-from repro.service.http import FrontThread, http_request
+from repro.service.http import FrontThread, http_request, parse_address
 from repro.service.server import AssignServer, ServeConfig
 from repro.utils import get_logger
 
@@ -248,18 +248,6 @@ class LoadGenResult:
         )
 
 
-def _parse_url(url: str) -> Tuple[str, int]:
-    trimmed = url.strip()
-    for prefix in ("http://", "https://"):
-        if trimmed.startswith(prefix):
-            trimmed = trimmed[len(prefix):]
-    trimmed = trimmed.rstrip("/")
-    host, _, port_text = trimmed.partition(":")
-    if not host or not port_text.isdigit():
-        raise ValueError(f"--url must look like http://host:port, got {url!r}")
-    return host, int(port_text)
-
-
 async def _post(
     cfg: LoadGenConfig, host: str, port: int, path: str, body: Dict[str, Any]
 ) -> Tuple[float, int, Any]:
@@ -433,7 +421,12 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
         metrics.enable()
         counters_before = _counter_snapshot()
     if cfg.url:
-        host, port = _parse_url(cfg.url)
+        address = parse_address(cfg.url)
+        if address is None:
+            raise ValueError(
+                f"--url must look like http://host:port, got {cfg.url!r}"
+            )
+        host, port = address
     elif cfg.gateway:
         fleet = FleetTopology(
             cfg.shards,
@@ -658,60 +651,3 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenResult:
         trace=trace,
     )
     return result
-
-
-def render_summary(result: LoadGenResult) -> str:
-    """Human-readable campaign report for the CLI."""
-    s = result.entry["serving"]
-    lat = s["latency_ms"]
-    req = s["requests"]
-    lines = [
-        f"bench-serve {result.entry['benchmark']}/{result.entry['method']}",
-        f"  cold {s['first_request_ms']:.0f}ms -> warm "
-        f"{s['warm_request_ms']:.0f}ms  (speedup {s['warm_speedup']:.2f}x)",
-        f"  load: {req['ok']}/{req['sent']} ok, {req['rejected_429']} "
-        f"rejected (429), {req['errors']} errors",
-        f"  latency p50/p95/p99: {lat['p50']:.0f}/{lat['p95']:.0f}/"
-        f"{lat['p99']:.0f} ms   throughput {s['throughput_qps']:.2f} qps "
-        f"(target {s['target_qps']:g})",
-        f"  queue depth p50/p95/max: {s['queue_depth']['p50']:g}/"
-        f"{s['queue_depth']['p95']:g}/{s['queue_depth']['max']:g}",
-        f"  digests consistent: {result.consistent}"
-        + (
-            f", verified vs repro run: {result.verified}"
-            if result.verified is not None else ""
-        ),
-    ]
-    eco = s.get("eco")
-    if eco:
-        lines.insert(2, (
-            f"  eco: {eco['ok']}/{eco['rounds']} ok "
-            f"({eco['accepted']} accepted), final epoch {eco['final_epoch']}, "
-            f"p50 {eco['latency_ms']['p50']:.0f}ms"
-        ))
-    if "engine_runs" in s:
-        lines.append(f"  engine runs: {s['engine_runs']}")
-    fleet = s.get("fleet")
-    if fleet:
-        lines.append(
-            f"  fleet: {fleet['shards']} shards, cache hit rate "
-            f"{fleet['cache_hit_rate']:.0%} ({fleet['cache_hits']} hits / "
-            f"{fleet['cache_misses']} misses), {fleet['engine_runs']} "
-            f"engine runs"
-        )
-        failover = fleet.get("failover")
-        if failover:
-            lines.append(
-                f"  failover: shard {failover['victim']!r} killed, "
-                f"{failover['ok']}/{failover['probes']} probes ok, "
-                f"{fleet['failovers']} failovers, "
-                f"{fleet['replica_seeds']} warm seeds, "
-                f"{fleet['failover_cold_starts']} cold starts"
-            )
-    trace = result.entry.get("trace")
-    if trace and trace.get("trace_id"):
-        where = f"  ({trace['file']})" if trace.get("file") else ""
-        lines.append(
-            f"  slowest-request trace: {trace['trace_id']}{where}"
-        )
-    return "\n".join(lines)

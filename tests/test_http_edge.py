@@ -210,3 +210,53 @@ def test_exchange_connect_timeout_is_a_connection_error(monkeypatch):
             ("127.0.0.1", 9), "GET", "/readyz", timeout=30,
             connect_timeout=0.05,
         ))
+
+
+# Every spelling of a shard or server address, with what it parses to.
+_ADDRESSES = [
+    ("http://127.0.0.1:8181", ("127.0.0.1", 8181)),
+    ("https://h:1/", ("h", 1)),
+    ("h:1", ("h", 1)),
+    ("http://h", None),
+    ("h:", None),
+    (":80", None),
+    ("h:x", None),
+]
+
+
+@pytest.mark.parametrize("text,address", _ADDRESSES)
+def test_url_and_shard_flags_parse_addresses_alike(
+    text, address, monkeypatch, capsys
+):
+    """``gateway --shard`` and ``bench-serve --url`` accept and refuse the
+    same ``http://HOST:PORT`` spellings, each with its own message."""
+    import repro.service.http as http_module
+    import repro.service.loadgen as loadgen
+    from repro.cli import main
+
+    configs = []
+
+    async def run_front(front_class, config):
+        configs.append(config)
+        return 0
+
+    async def first_request(host, port, *args, **kwargs):
+        raise RuntimeError(f"reached {host}:{port}")
+
+    monkeypatch.setattr(http_module, "run_front", run_front)
+    monkeypatch.setattr(loadgen, "http_request", first_request)
+
+    shard_code = main(["gateway", "--shard", f"s0={text}"])
+    shard_err = capsys.readouterr().err
+    url_code = main(["bench-serve", "--url", text])
+    url_err = capsys.readouterr().err
+    if address is None:
+        assert shard_code == 2
+        assert "--shard must look like ID=http://HOST:PORT" in shard_err
+        assert url_code == 1
+        assert "--url must look like http://host:port" in url_err
+    else:
+        assert shard_code == 0
+        assert configs[0].shards == {"s0": address}
+        assert url_code == 1  # the stubbed client refused the campaign
+        assert f"bench-serve: reached {address[0]}:{address[1]}" in url_err

@@ -378,6 +378,46 @@ def test_bench_serve_entry_keys():
     assert set(entry["trace"]) == {"trace_id", "cold_trace_id", "slowest_ms"}
 
 
+def test_serve_entry_renders_every_serving_line():
+    """``repro obs show`` and ``repro bench-serve`` print one rendering of
+    a serve entry, ECO rounds and fleet failover included."""
+    entry = ledger.make_entry(
+        "adaptec1", "fleet:sdp", 0.02, {}, {}, 1.5,
+        serving={
+            "latency_ms": {"p50": 3.0, "p95": 12.0, "p99": 14.0},
+            "first_request_ms": 420.0,
+            "warm_request_ms": 2.0,
+            "warm_speedup": 210.0,
+            "throughput_qps": 11.9,
+            "target_qps": 12.0,
+            "requests": {"sent": 12, "ok": 11, "rejected_429": 1,
+                         "errors": 0},
+            "queue_depth": {"p50": 0, "p95": 1, "max": 2},
+            "eco": {"rounds": 2, "ok": 2, "accepted": 1, "failed": 0,
+                    "final_epoch": 2, "latency_ms": {"p50": 61.0,
+                                                     "max": 70.0}},
+            "digest_consistent": True,
+            "verified_against_run": True,
+            "fleet": {
+                "shards": 2, "cache_hit_rate": 0.5, "cache_hits": 6,
+                "cache_misses": 6, "cache_invalidations": 2,
+                "failovers": 1, "failover_cold_starts": 0,
+                "replica_seeds": 1, "replica_pushes": 4, "engine_runs": 4,
+                "failover": {"victim": "s1", "probes": 2, "ok": 2,
+                             "failed": 0, "latency_ms": {"max": 480.0}},
+            },
+        },
+    )
+    text = ledger.render_entry(entry)
+    for line in (
+        "  requests             11/12 ok, 1 rejected, 0 errors",
+        "  eco rounds           2/2 ok (1 accepted), final epoch 2, p50 61 ms",
+        "  digests consistent   True, verified vs repro run: True",
+        "  failover probes 2/2 ok after shard 's1' stopped  (max 480 ms)",
+    ):
+        assert line in text.splitlines()
+
+
 def test_bench_eco_entry_keys(tmp_path, capsys):
     from benchmarks import bench_eco
 
