@@ -43,6 +43,16 @@ iterating on a smaller state.  Compaction does not perturb the surviving
 members' floats, and every member sees exactly the iterate sequence it
 would have seen alone — the freeze is observational, not numerical.
 
+**Rounding exit.**  A member built with its segments' layer counts
+(:func:`build_member`'s ``segments``) also stops once the layer each
+segment would round to has settled: every :data:`ROUND_EVERY` iterations
+the argmax over each segment's candidate-layer entries on the diagonal
+of the PSD copy is compared with the previous check's, and the member
+exits when none moved and its primal residual is within
+:data:`ROUND_SLACK` times the tolerance.  The argmax is a segment
+reduction over the member's own entries, so the exit is per member like
+the residual stop.  Members without segments keep the residual-only stop.
+
 This module deliberately imports nothing from :mod:`repro.solver` — the
 dependency points the other way (the scalar solver builds members and
 calls the kernel), keeping the import graph acyclic.
@@ -81,6 +91,18 @@ except Exception:  # pragma: no cover
     _CSR_MATVEC = None
 
 _SQRT2 = math.sqrt(2.0)
+
+# Rounding exit (members with segments only): its check cadence in
+# iterations and the primal residual it accepts, as a multiple of the
+# stop tolerance.  The guard keeps the relaxation's rows honest: in
+# benchmarks/bench_tolerance.py's guard sweep (docs/PERFORMANCE.md), no
+# guard let a segment's relaxed values sum to 0.87 and put a 1e-5 solve's
+# objective 5 % off; 1x and 2x kept more iterations than 5x for no
+# quality.  Checking at ``check_every`` alone (earliest exit 20) saved
+# half as much.
+ROUND_EVERY = 5
+ROUND_SLACK = 5.0
+_NO_LAYER = np.iinfo(np.intp).max  # a segment with no finite maximum
 
 # Packed-triangle indices per matrix order:
 # (rows, cols, off-diagonal mask, svec scale).  The scale vector carries
@@ -165,6 +187,11 @@ class MemberSetup:
     lower: Optional[np.ndarray] = None      # box bounds in svec coords
     upper: Optional[np.ndarray] = None
     warm: bool = False
+    # Rounding exit: the kept positions of the segments' candidate-layer
+    # diagonal entries, segment after segment, and each entry's layer
+    # index within its segment (0 opens a segment).
+    round_entries: Optional[np.ndarray] = None
+    round_layers: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -199,7 +226,8 @@ class MemberResult:
     iterations: int
     primal: float
     dual: float
-    converged: bool
+    converged: bool         # stopped before the cap, by either rule
+    rounded: bool           # ... by the rounding exit (not the residuals)
     projections: int        # PSD projections attempted for this member
     identities: int         # ... of which were identities (when recording)
     samples: List[Dict[str, float]] = field(default_factory=list)
@@ -298,15 +326,18 @@ def build_member(
     lower: Optional[np.ndarray] = None,
     upper: Optional[np.ndarray] = None,
     warm: bool = False,
+    segments: Optional[Sequence[int]] = None,
 ) -> MemberSetup:
     """Split one SDP into its blocks and precompute its kernel state.
 
     Inputs are in full-svec coordinates; ``A`` holds the constraint rows
-    as COO arrays ``(row, svec index, coefficient)``.  All member-local
-    numerics (the block analysis, cost normalization, the ridged Gram
-    inverse of the affine projection) happen here, per member, before any
-    stacking — so they cannot depend on which call the member later
-    lands in.
+    as COO arrays ``(row, svec index, coefficient)``.  ``segments`` gives
+    the layer count of each segment whose candidate-layer entries open
+    the diagonal, in order; with it the member may take the rounding exit.
+    All member-local numerics (the block analysis, cost normalization,
+    the ridged Gram inverse of the affine projection) happen here, per
+    member, before any stacking — so they cannot depend on which call
+    the member later lands in.
     """
     rows, cols, off, _ = triu_cache(n)
     d = rows.size
@@ -340,10 +371,18 @@ def build_member(
         x0=np.asarray(x0, dtype=np.float64)[keep],
         warm=warm,
     )
+    position = np.empty(d, dtype=np.intp)
+    position[keep] = np.arange(keep.size)
+    if segments is not None and len(segments):
+        counts = np.asarray(segments, dtype=np.intp)
+        if counts.min() < 1 or counts.sum() > n:
+            raise ValueError(f"segments {list(counts)} do not fit order {n}")
+        diag = np.arange(int(counts.sum()))
+        firsts = np.repeat(np.cumsum(counts) - counts, counts)
+        member.round_entries = position[diag * n - diag * (diag - 1) // 2]
+        member.round_layers = diag - firsts
     if A is not None:
         m = len(b)
-        position = np.empty(d, dtype=np.intp)
-        position[keep] = np.arange(keep.size)
         a_pos = position[a_cols]
         # The Gram matrix only needs the columns a row touches.
         touched, a_col = np.unique(a_pos, return_inverse=True)
@@ -435,6 +474,31 @@ class _Layout:
         if first.lower is not None:
             self.lower = np.concatenate([m.lower for m in members])
             self.upper = np.concatenate([m.upper for m in members])
+        # Rounding exit: the rows of the members that take it, their
+        # candidate-layer entries end to end with each entry's layer, the
+        # start and size of every segment in them, and the segment count
+        # and first segment of each such member.
+        rounding = [
+            (row, m) for row, m in enumerate(members)
+            if m.round_entries is not None
+        ]
+        self.round_rows = np.array([row for row, _ in rounding], dtype=np.intp)
+        if rounding:
+            self.round_entries = np.concatenate(
+                [m.round_entries + starts[row] for row, m in rounding]
+            )
+            self.round_layers = np.concatenate(
+                [m.round_layers for _, m in rounding]
+            )
+            self.round_starts = np.flatnonzero(self.round_layers == 0)
+            self.round_sizes = np.diff(
+                np.append(self.round_starts, self.round_layers.size)
+            )
+            self.round_segments = np.array(
+                [np.count_nonzero(m.round_layers == 0) for _, m in rounding],
+                dtype=np.intp,
+            )
+            self.round_first = np.cumsum(self.round_segments) - self.round_segments
 
 
 def _csr_matvec(csr: Csr, x: np.ndarray, rows: int) -> np.ndarray:
@@ -454,11 +518,12 @@ def run_admm(
     """Run consensus ADMM over ``members`` until every member exits.
 
     Residuals are checked every ``check_every`` iterations (and at the
-    iteration cap); converged members freeze — their entries are compacted
-    out and their final state recorded — while the rest keep iterating.
-    With ``recording`` the per-member residual/objective samples are
-    collected at each check, mirroring the scalar solver's convergence
-    curves, and each projection is timed.
+    iteration cap), the rounding of members with segments every
+    :data:`ROUND_EVERY`; exiting members freeze — their entries are
+    compacted out and their final state recorded — while the rest keep
+    iterating.  With ``recording`` the per-member residual/objective
+    samples are collected at each residual check, mirroring the scalar
+    solver's convergence curves, and each projection is timed.
     """
     if not members:
         return [], BatchStats(0, 0, 0, 0, 0.0)
@@ -512,6 +577,16 @@ def run_admm(
     def segment_norms(Y):
         return np.sqrt(np.add.reduceat(Y * Y, layout.starts, axis=-1))
 
+    def rounding():
+        """Per segment: the layer its diagonal entries' argmax picks."""
+        values = Z_st[0][layout.round_entries]
+        top = np.maximum.reduceat(values, layout.round_starts)
+        hit = values == np.repeat(top, layout.round_sizes)
+        # np.argmax's tie rule: the first entry reaching the maximum.
+        return np.minimum.reduceat(
+            np.where(hit, layout.round_layers, _NO_LAYER), layout.round_starts
+        )
+
     def project_psd(V, out):
         """Frobenius projection onto the PSD cone, block by block."""
         np.maximum(V, layout.floor, out=out)
@@ -560,6 +635,8 @@ def run_admm(
     # adapts or the state compacts, so it is cached across iterations.
     drift = C_hat / np.repeat(m_sets * rho, layout.sizes)
 
+    # The rounding at the previous rounding check, per live segment.
+    last_rounding: Optional[np.ndarray] = None
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         X_prev = X
@@ -580,12 +657,17 @@ def run_admm(
         # Old U_st is dead once V_all is formed; one fused subtract.
         np.subtract(V_all, Z_st, out=U_st)
 
-        if iterations % cfg.check_every == 0 or iterations == cfg.max_iterations:
+        at_cap = iterations == cfg.max_iterations
+        check = iterations % cfg.check_every == 0 or at_cap
+        round_check = (
+            layout.round_rows.size > 0 and iterations % ROUND_EVERY == 0
+        )
+        if check or round_check:
             # sqrt-then-max over sets: the primal residual of each member
             # is its worst projection set.
             primal = np.maximum.reduce(segment_norms(X - Z_st), axis=0)
             dual = (rho * math.sqrt(m_sets)) * segment_norms(X - X_prev)
-            if recording:
+            if recording and check:
                 objective = np.add.reduceat(C * X, layout.starts)
                 for row, orig in enumerate(active):
                     samples[orig].append({
@@ -597,10 +679,19 @@ def run_admm(
                     })
             scale = np.maximum(1.0, segment_norms(X))
             tol = cfg.tolerance * scale
-            done = (primal <= tol) & (dual <= tol)
-            at_cap = iterations == cfg.max_iterations
-            if done.any() or at_cap:
-                exiting = done | at_cap
+            done = (primal <= tol) & (dual <= tol) & check
+            rounded = np.zeros_like(done)
+            if round_check:
+                choice = rounding()
+                if last_rounding is not None:
+                    rounded[layout.round_rows] = ~np.logical_or.reduceat(
+                        choice != last_rounding, layout.round_first
+                    )
+                    rounded &= (primal <= ROUND_SLACK * tol) & ~done
+                last_rounding = choice
+            stopped = done | rounded
+            if stopped.any() or at_cap:
+                exiting = stopped | at_cap
                 for row in np.flatnonzero(exiting):
                     orig = int(active[row])
                     start = layout.starts[row]
@@ -611,16 +702,21 @@ def run_admm(
                         iterations=iterations,
                         primal=float(primal[row]),
                         dual=float(dual[row]),
-                        converged=bool(done[row]),
+                        converged=bool(stopped[row]),
+                        rounded=bool(rounded[row]),
                         projections=iterations,
                         identities=int(ident_counts[row]),
                         samples=samples[orig],
                     )
                     member_iterations += iterations
-                    converged_count += int(done[row])
+                    converged_count += int(stopped[row])
                 keep = ~exiting
                 if not keep.any():
                     break
+                if last_rounding is not None:
+                    last_rounding = last_rounding[np.repeat(
+                        keep[layout.round_rows], layout.round_segments
+                    )]
                 entries = np.repeat(keep, layout.sizes)
                 X = X[entries]
                 X_prev = X_prev[entries]
@@ -638,7 +734,7 @@ def run_admm(
                 ident_counts = ident_counts[keep]
                 live = [m for m, k in zip(live, keep) if k]
                 layout = _Layout(live)
-            if cfg.adaptive_rho:
+            if check and cfg.adaptive_rho:
                 # Mirrors the scalar schedule: x2 when primal dominates, /2
                 # when dual dominates, duals rescaled to keep u = y / rho.
                 up = (primal > 10.0 * dual) & (rho < rho_hi)

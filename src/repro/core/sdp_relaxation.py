@@ -65,7 +65,9 @@ class SdpRelaxationConfig:
     # Max(Tcp) by +6.6 %, and 5e-2 doubles the ECO chains' Avg(Tcp) move
     # that every stop from 1e-3 on shows; 1e-2 is the loosest stop with
     # neither.  It cuts the suite's ADMM iterations 2.7x
-    # (docs/PERFORMANCE.md).
+    # (docs/PERFORMANCE.md).  Each leaf also stops once the layer every
+    # segment rounds to has settled (the kernel's rounding exit, fed by
+    # the segment counts build_sdp records).
     settings: SDPSettings = field(
         default_factory=lambda: SDPSettings(tolerance=1e-2, max_iterations=1200)
     )
@@ -187,6 +189,8 @@ class SdpPartitionSolver:
         metrics.inc("sdp.iterations", result.iterations)
         if not result.converged:
             metrics.inc("sdp.nonconverged")
+        if result.rounded:
+            metrics.inc("sdp.rounding_exits")
         metrics.set_gauge("sdp.last_objective", result.objective)
         metrics.observe(
             "sdp.matrix_order", n, buckets=(4, 8, 16, 32, 64, 128, 256)
@@ -216,7 +220,11 @@ class SdpPartitionSolver:
         n = n_assign + num_cap_slacks + len(linking)
 
         cost = self._build_cost(problem, offsets, n, mode)
-        sdp = SDPProblem(n=n, cost=cost)
+        # The segments' layer entries open the diagonal (``offsets``), so
+        # their counts tell the kernel what post-mapping will round.
+        sdp = SDPProblem(
+            n=n, cost=cost, segments=[len(var.layers) for var in problem.vars]
+        )
         sdp.set_box(0.0, 1.0)
 
         # (4b): each segment on exactly one layer.

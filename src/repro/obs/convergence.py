@@ -82,6 +82,7 @@ class SolveRecord:
     projection_seconds: float
     psd_identity_fraction: float
     samples: List[Dict[str, float]] = field(default_factory=list)
+    rounded: bool = False  # stopped by the rounding exit (counts as converged)
 
 
 @dataclass
@@ -232,6 +233,7 @@ def summarize(
         out["solves"] = {
             "count": len(solves),
             "converged": sum(1 for s in solves if s["converged"]),
+            "rounding_exits": sum(1 for s in solves if s.get("rounded")),
             "warm_started": sum(1 for s in solves if s["warm_start"]),
             "iterations": _dist([s["iterations"] for s in solves]),
             "primal_residual_max": max(s["primal_residual"] for s in solves),
@@ -319,8 +321,10 @@ def summary_text(summary: Dict[str, Any]) -> str:
     if solves:
         it = solves["iterations"]
         lines.append(
-            "  solves: {count} ({converged} converged, {warm_started} warm-started)"
-            .format(**solves)
+            "  solves: {count} ({converged} converged, {warm_started} "
+            "warm-started), {rounding} stopped by the rounding exit".format(
+                rounding=solves.get("rounding_exits", 0), **solves
+            )
         )
         lines.append(
             f"  solver iterations: p50={it['p50']:g} p90={it['p90']:g} "

@@ -53,10 +53,13 @@ class SDPSettings:
     rho_scale_limit: float = 1e4
 
     def __post_init__(self) -> None:
-        if self.rho <= 0 or self.tolerance <= 0:
+        # ``not x > 0`` also refuses NaN, which no stop test ever meets.
+        if not self.rho > 0 or not self.tolerance > 0:
             raise ValueError("rho and tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.check_every < 1:
+            raise ValueError("check_every must be >= 1")
 
 
 @dataclass
@@ -68,8 +71,9 @@ class SDPResult:
     iterations: int
     primal_residual: float
     dual_residual: float
-    converged: bool
+    converged: bool          # stopped before the cap, by either rule
     max_constraint_violation: float
+    rounded: bool = False    # stopped by the rounding exit
 
 
 @dataclass
@@ -80,6 +84,12 @@ class SDPProblem:
     ``sum(coeff * X[i, j]) == value`` without materializing a dense A_k —
     CPLA's assignment/capacity rows touch only a handful of entries each,
     and :meth:`constraint_rows` hands them to the solver sparse.
+
+    ``segments``, when set, gives the layer count of each segment whose
+    candidate-layer entries open the diagonal, in order; the solver then
+    also stops once the layer each segment rounds to has settled (see
+    :mod:`repro.batchsolve.kernels`).  Without it the residuals alone
+    stop the solve.
     """
 
     n: int
@@ -88,6 +98,7 @@ class SDPProblem:
     _values: List[float] = field(default_factory=list)
     box_lower: Optional[np.ndarray] = None
     box_upper: Optional[np.ndarray] = None
+    segments: Optional[List[int]] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -242,7 +253,7 @@ class ADMMSDPSolver:
         x0 = svec(warm_start) if warm_start is not None else np.zeros(svec_dim(n))
         return build_member(
             n, c, x0, A=A, b=b, lower=lower, upper=upper,
-            warm=warm_start is not None,
+            warm=warm_start is not None, segments=problem.segments,
         )
 
     def finish(
@@ -263,6 +274,7 @@ class ADMMSDPSolver:
             dual_residual=member_result.dual,
             converged=member_result.converged,
             max_constraint_violation=problem.violation(X),
+            rounded=member_result.rounded,
         )
 
     @staticmethod
@@ -282,6 +294,7 @@ class ADMMSDPSolver:
             warm_start=member.warm,
             iterations=result.iterations,
             converged=result.converged,
+            rounded=result.rounded,
             objective=result.objective,
             primal_residual=result.primal_residual,
             dual_residual=result.dual_residual,

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.batchsolve import AdmmOptions, run_admm
+from repro.batchsolve.kernels import ROUND_EVERY, ROUND_SLACK
 from repro.batchsolve.solver import BatchLeafSolver
 from repro.cli import EXIT_USAGE, main
 from repro.core.engine import CPLAConfig, CPLAEngine
@@ -80,6 +81,58 @@ def block_sdp(sizes, seed: int, extra_rows: int = 0) -> SDPProblem:
         sdp.add_entry_constraint([(k, k), (n - 1 - k, n - 1 - k)], [1.0, 1.0], 0.5)
     sdp.set_box(0.0, 1.0)
     return sdp
+
+
+def segment_sdp(counts, seed: int, total: float = 1.0,
+                segments: bool = True) -> SDPProblem:
+    """A CPLA-shaped SDP: each segment puts ``total`` on its layers.
+
+    Layer costs sit on the diagonal and via costs between consecutive
+    segments' layers, boxed to [0, 1].  With ``segments`` the problem
+    carries its layer counts, so its member may take the rounding exit;
+    without, it is the same SDP under the residual stop alone.
+    """
+    rng = np.random.default_rng(seed)
+    n = sum(counts)
+    starts = np.cumsum(counts) - np.asarray(counts)
+    cost = np.zeros((n, n))
+    for start, count in zip(starts, counts):
+        layers = np.arange(start, start + count)
+        cost[layers, layers] = 1.0 + rng.random(count)
+    for (s0, c0), (s1, c1) in zip(zip(starts, counts),
+                                  zip(starts[1:], counts[1:])):
+        via = rng.random((c0, c1)) / 4.0
+        cost[s0:s0 + c0, s1:s1 + c1] = via
+        cost[s1:s1 + c1, s0:s0 + c0] = via.T
+    sdp = SDPProblem(n=n, cost=cost,
+                     segments=list(counts) if segments else None)
+    for start, count in zip(starts, counts):
+        sdp.add_entry_constraint(
+            [(i, i) for i in range(start, start + count)], [1.0] * count, total
+        )
+    sdp.set_box(0.0, 1.0)
+    return sdp
+
+
+def mixed_warm_start(sdp: SDPProblem, alpha: float) -> np.ndarray:
+    """``alpha`` on each segment's costliest layer, the rest on its cheapest:
+    a stale warm start whose rounding flips as ADMM moves off it."""
+    X = np.zeros((sdp.n, sdp.n))
+    diag = np.diag(sdp.cost)
+    start = 0
+    for count in sdp.segments:
+        layers = diag[start:start + count]
+        hi, lo = start + int(np.argmax(layers)), start + int(np.argmin(layers))
+        X[hi, hi], X[lo, lo] = alpha, 1.0 - alpha
+        start += count
+    return X
+
+
+def rounding_of(z_psd: np.ndarray, sdp: SDPProblem):
+    """What post-mapping would round to: each segment's diagonal argmax."""
+    diag = np.diag(smat(z_psd, sdp.n))
+    starts = np.cumsum(sdp.segments) - np.asarray(sdp.segments)
+    return [int(np.argmax(diag[s:s + c])) for s, c in zip(starts, sdp.segments)]
 
 
 def assert_same(solo, batched):
@@ -223,6 +276,100 @@ class TestKernelIdentity:
         assert direct.iterations == via_kernel.iterations
         assert np.array_equal(direct.X, via_kernel.X)
         assert direct.objective == via_kernel.objective
+
+
+class TestRoundingExit:
+    """A member with segments also stops once its rounding has settled."""
+
+    COUNTS = (3, 4, 3, 2, 4)
+
+    def test_exit_is_the_capped_run_of_the_same_member(self):
+        """The exit only moves where a member stops: stopped on rounding at
+        iteration k, it holds the iterate of the plain member capped at k."""
+        solver = ADMMSDPSolver(SDPSettings(tolerance=1e-2, max_iterations=1200))
+        sdp = segment_sdp(self.COUNTS, 0)
+        (result,), stats = run_admm(
+            [solver.prepare_member(sdp)], solver.admm_options()
+        )
+        (plain,), _ = run_admm(
+            [solver.prepare_member(segment_sdp(self.COUNTS, 0, segments=False))],
+            solver.admm_options(),
+        )
+        k = result.iterations
+        assert result.rounded and result.converged
+        assert k % ROUND_EVERY == 0 and k < plain.iterations
+        assert stats.converged == 1
+        capped = solver.admm_options()
+        capped.max_iterations = k
+        (reference,), _ = run_admm(
+            [solver.prepare_member(segment_sdp(self.COUNTS, 0, segments=False))],
+            capped,
+        )
+        assert not reference.converged and not reference.rounded
+        assert reference.iterations == k
+        assert np.array_equal(result.z_psd, reference.z_psd)
+        assert result.primal == reference.primal
+        assert result.dual == reference.dual
+
+    def test_flipping_rounding_does_not_exit(self):
+        """With the residual stop and the guard out of reach, the member
+        stops at the first check whose rounding equals the previous one."""
+        settings = SDPSettings(tolerance=10.0, max_iterations=1200,
+                               check_every=1000)
+        solver = ADMMSDPSolver(settings)
+        sdp = segment_sdp(self.COUNTS, 0)
+        warm = mixed_warm_start(sdp, 0.7)
+        (result,), _ = run_admm(
+            [solver.prepare_member(sdp, warm)], solver.admm_options()
+        )
+        plain = segment_sdp(self.COUNTS, 0, segments=False)
+        rounds = {}
+        for k in range(ROUND_EVERY, result.iterations + 1, ROUND_EVERY):
+            capped = solver.admm_options()
+            capped.max_iterations = k
+            (run,), _ = run_admm([solver.prepare_member(plain, warm)], capped)
+            rounds[k] = rounding_of(run.z_psd, sdp)
+        flips = [k for k in rounds if k - ROUND_EVERY in rounds
+                 and rounds[k] != rounds[k - ROUND_EVERY]]
+        # The stale start flips the rounding at iterations 10, 15 and 20.
+        assert flips == [10, 15, 20]
+        assert result.rounded and result.iterations == 25
+
+    def test_members_with_and_without_segments_share_a_call(self):
+        solver = ADMMSDPSolver(SDPSettings(tolerance=1e-2, max_iterations=1200))
+        problems = [
+            (segment_sdp(self.COUNTS, 1), None),
+            (segment_sdp(self.COUNTS, 1, segments=False), None),
+            (segment_sdp((2, 5, 3), 2), None),
+            (block_sdp((3, 1, 4), 3), None),
+        ]
+        sdp = segment_sdp(self.COUNTS, 4)
+        problems.append((sdp, mixed_warm_start(sdp, 0.6)))
+        options = solver.admm_options()
+        solo = [
+            run_admm([solver.prepare_member(p, w)], options)[0][0]
+            for p, w in problems
+        ]
+        batched, _ = run_admm(
+            [solver.prepare_member(p, w) for p, w in problems], options
+        )
+        assert [r.rounded for r in solo] == [True, False, True, False, True]
+        assert_same(solo, batched)
+        assert [r.rounded for r in batched] == [r.rounded for r in solo]
+
+    def test_tight_tolerance_holds_the_exit_until_the_guard(self):
+        """The rounding settles early, but a 1e-5 member exits only once its
+        primal residual is within ROUND_SLACK times 1e-5.  Each segment puts
+        0.5 on its layers, so the residual scale max(1, |X|) is 1."""
+        loose = ADMMSDPSolver(SDPSettings(tolerance=1e-2, max_iterations=1200))
+        tight = ADMMSDPSolver(SDPSettings(tolerance=1e-5, max_iterations=1200))
+        sdp = segment_sdp(self.COUNTS, 5, total=0.5)
+        (early,), _ = run_admm([loose.prepare_member(sdp)], loose.admm_options())
+        (late,), _ = run_admm([tight.prepare_member(sdp)], tight.admm_options())
+        assert early.rounded and early.primal > ROUND_SLACK * 1e-5
+        assert late.rounded and late.iterations > early.iterations
+        assert late.primal <= ROUND_SLACK * 1e-5
+        assert rounding_of(late.z_psd, sdp) == rounding_of(early.z_psd, sdp)
 
 
 class TestBlockSplit:

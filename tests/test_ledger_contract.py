@@ -306,6 +306,11 @@ def test_run_entry_keys(tmp_path, capsys):
         "router_rounds", "maze_expansion_limit",
     })
     assert set(entry["convergence"]) == {"solves", "partitions"}
+    # Stops by the rounding exit count as converged; the count says how many.
+    assert set(entry["convergence"]["solves"]) == {
+        "count", "converged", "rounding_exits", "warm_started", "iterations",
+        "primal_residual_max", "projection_seconds", "psd_identity_fraction",
+    }
     assert set(entry["router"]) == {
         "nets_routed", "nets_rerouted", "reroute_rounds", "maze_aborts",
         "final_overflow",

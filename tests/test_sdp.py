@@ -117,6 +117,20 @@ class TestSettings:
         with pytest.raises(ValueError):
             SDPSettings(max_iterations=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"check_every": 0},
+        {"check_every": -5},
+        {"tolerance": float("nan")},
+        {"tolerance": 0.0},
+        {"rho": float("nan")},
+        {"rho": -1.0},
+    ])
+    def test_settings_the_kernel_cannot_run_rejected(self, bad):
+        # check_every=0 used to divide by zero inside the kernel, and a NaN
+        # tolerance ran every solve to the cap unconverged.
+        with pytest.raises(ValueError):
+            SDPSettings(**bad)
+
     def test_nonconvergence_reported(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(8, 8))
