@@ -4,8 +4,10 @@ A leaf's SDP only feeds the post-mapping, which reads the relaxed
 diagonal and rounds it, so how far each leaf's ADMM runs is a trade of
 iterations against the final assignment.  This bench sweeps
 ``SdpRelaxationConfig.settings.tolerance`` over :data:`TOLERANCES`
-(``max_iterations`` 1200 and ``check_every`` 10 fixed), plus a
-10-iteration cap as a reference point, on three inputs:
+(``max_iterations`` 1200 and ``check_every`` 10 fixed; the kernel's
+rounding exit, whose primal guard scales with the tolerance, is on in
+every row), plus a 10-iteration cap as a reference point, on three
+inputs:
 
 - ``suite``: the Table 2 suite at scale 1, ratio 0.5 %, with the default
   Gauss-Seidel schedule; TILA runs once per design for the win count;

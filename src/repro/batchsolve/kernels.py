@@ -94,12 +94,12 @@ _SQRT2 = math.sqrt(2.0)
 
 # Rounding exit (members with segments only): its check cadence in
 # iterations and the primal residual it accepts, as a multiple of the
-# stop tolerance.  The guard keeps the relaxation's rows honest: in
-# benchmarks/bench_tolerance.py's guard sweep (docs/PERFORMANCE.md), no
-# guard let a segment's relaxed values sum to 0.87 and put a 1e-5 solve's
-# objective 5 % off; 1x and 2x kept more iterations than 5x for no
-# quality.  Checking at ``check_every`` alone (earliest exit 20) saved
-# half as much.
+# stop tolerance.  The guard keeps the relaxation's rows honest: without
+# it a segment's relaxed values summed to 0.87 and a 1e-5 solve's
+# objective ended 5 % off.  On the Table 2 suite a 1x or 2x guard ran
+# 56 % or 26 % more iterations than 5x for the same quality, and a
+# 10-iteration cadence (earliest exit 20) cut 37 % of the residual
+# stop's iterations where 5 cuts 62 % (guard sweep, docs/PERFORMANCE.md).
 ROUND_EVERY = 5
 ROUND_SLACK = 5.0
 _NO_LAYER = np.iinfo(np.intp).max  # a segment with no finite maximum
@@ -374,13 +374,14 @@ def build_member(
     position = np.empty(d, dtype=np.intp)
     position[keep] = np.arange(keep.size)
     if segments is not None and len(segments):
-        counts = np.asarray(segments, dtype=np.intp)
-        if counts.min() < 1 or counts.sum() > n:
-            raise ValueError(f"segments {list(counts)} do not fit order {n}")
-        diag = np.arange(int(counts.sum()))
-        firsts = np.repeat(np.cumsum(counts) - counts, counts)
-        member.round_entries = position[diag * n - diag * (diag - 1) // 2]
-        member.round_layers = diag - firsts
+        total = int(sum(segments))
+        if min(segments) < 1 or total > n:
+            raise ValueError(f"segments {list(segments)} do not fit order {n}")
+        # Diagonal entries are never split off, and ~off lists them in order.
+        member.round_entries = position[np.flatnonzero(~off)[:total]]
+        member.round_layers = np.array(
+            [k for count in segments for k in range(count)], dtype=np.intp
+        )
     if A is not None:
         m = len(b)
         a_pos = position[a_cols]
